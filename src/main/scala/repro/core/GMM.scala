@@ -25,8 +25,9 @@ object GMM {
   }
 
   /** Run GMM until `stop(iterationsDone, radiusSoFar)` returns true or the
-    * input is exhausted. The first center is `points(firstIdx)` — the paper
-    * picks it arbitrarily; benches pass a seed-derived index so that runs are
+    * radius reaches 0, so that duplicate inputs never become duplicate
+    * centers. The first center is `points(firstIdx)` — the paper picks it
+    * arbitrarily; benches pass a seed-derived index so that runs are
     * reproducible yet shuffle-sensitive, as observed in Sec. 5.4.
     */
   def runWhile(points: Array[Array[Double]], firstIdx: Int)(stop: (Int, Double) => Boolean): Trace = {
@@ -53,7 +54,8 @@ object GMM {
       val r = math.sqrt(worst)
       radBuf += r
       next = worstIdx
-      continue = idxBuf.length < n && !stop(idxBuf.length, r)
+      // Radius 0: every remaining point duplicates a center.
+      continue = idxBuf.length < n && r > 0 && !stop(idxBuf.length, r)
     }
     Trace(points, idxBuf.toArray, radBuf.toArray)
   }

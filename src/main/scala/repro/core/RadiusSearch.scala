@@ -1,115 +1,86 @@
 package repro.core
 
-import scala.util.Random
-
 /** Second-round radius search (Sec. 3.2): estimate the minimum r such that
   * OUTLIERSCLUSTER(T, k, r, ε̂) leaves uncovered weight ≤ z, within
   * multiplicative tolerance (1+δ), δ = ε̂/(3+4ε̂).
   *
-  * The paper binary-searches the O(|T|²) pairwise distances combined with a
-  * (1+δ)-geometric search, using streaming median-finding to avoid storing
-  * the distances. We keep the same probe structure but bound memory by
-  * binary-searching a uniform *sample* of pairwise distances and then
-  * refining geometrically inside the bracketing gap — the returned radius is
-  * still within (1+δ) of the smallest feasible one, which is all Theorem 2's
-  * proof uses (deviation documented in DESIGN.md §4).
+  * It bisects, in log space, a bracket [lo, hi] that a GMM traversal of T
+  * certifies, until hi/lo ≤ 1+δ:
+  *  - hi = r_k(T) is feasible (Charikar et al. [16]): the k GMM centers are
+  *    points of T whose r_k-balls cover all of T;
+  *  - every r < lo = r_{k+z}(T) / (2(3+4ε̂)) is infeasible: the first k+z GMM
+  *    centers and the farthest point from them are k+z+1 points pairwise
+  *    ≥ r_{k+z}(T) apart, each of weight ≥ 1, and k removal balls of radius
+  *    (3+4ε̂)r cannot take in k+1 of them.
+  * The same k+z+1 points give r*_{k,z}(S) ≥ r_{k+z}(T)/2 for every S ⊇ T.
   */
 object RadiusSearch {
 
-  /** Cap on sampled candidate distances; 2·10⁵ doubles is ~1.6 MB. */
-  private val MaxCandidates = 200_000
-
+  /** @param probes            OUTLIERSCLUSTER runs made by the search
+    * @param lowerBound        every radius below it is infeasible: the larger
+    *                          of the certified lo and the largest infeasible
+    *                          probe; radius ≤ (1+δ)·lowerBound
+    * @param optimumLowerBound r_{k+z}(T)/2 ≤ r*_{k,z}(S) for every S ⊇ T; 0
+    *                          when T has at most k+z distinct points
+    */
   final case class SearchResult(
       radius: Double,
       clustering: OutliersCluster.Result,
       probes: Int,
+      lowerBound: Double,
+      optimumLowerBound: Double,
   )
 
-  /** Sorted distinct candidate radii: all pairwise distances when |T| is
-    * small, else a uniform random sample of pairs.
+  /** Growths of hi by (1+δ) allowed when floating-point rounding makes the
+    * r_k(T) probe infeasible (plausible only at ε̂ = 0).
     */
-  private[core] def candidateDistances(vecs: Array[Array[Double]], seed: Long): Array[Double] = {
-    val n = vecs.length
-    val nPairs = n.toLong * (n - 1) / 2
-    val ds =
-      if (nPairs <= MaxCandidates) {
-        val buf = new Array[Double](nPairs.toInt)
-        var p = 0
-        var i = 0
-        while (i < n) {
-          var j = i + 1
-          while (j < n) { buf(p) = Points.dist(vecs(i), vecs(j)); p += 1; j += 1 }
-          i += 1
-        }
-        buf
-      } else {
-        val rnd = new Random(seed)
-        Array.fill(MaxCandidates) {
-          var i = rnd.nextInt(n)
-          var j = rnd.nextInt(n)
-          while (j == i) { j = rnd.nextInt(n); i = rnd.nextInt(n) }
-          Points.dist(vecs(i), vecs(j))
-        }
-      }
-    val sorted = ds.distinct.sorted
-    if (sorted.isEmpty) Array(0.0) else sorted
-  }
+  private val MaxHiGrowth = 8
 
   /** Find r̃_min and return the clustering OUTLIERSCLUSTER(T, k, r̃_min, ε̂). */
   def search(t: Array[WeightedPoint], k: Int, z: Long, hatEps: Double, seed: Long = 42L): SearchResult = {
     require(t.nonEmpty, "radius search needs a non-empty coreset")
+    require(k >= 1 && z >= 0, s"need k >= 1 and z >= 0, got k=$k z=$z")
+    val dim = t(0).vec.length
+    t.iterator.zipWithIndex.foreach { case (p, i) =>
+      require(p.vec.length == dim, s"coreset point $i has dimension ${p.vec.length}, expected $dim")
+      require(p.vec.forall(java.lang.Double.isFinite), s"coreset point $i has a non-finite coordinate")
+      require(p.weight >= 1L, s"coreset point $i has weight ${p.weight} < 1")
+    }
+    val spread = 3.0 + 4.0 * hatEps
+    val delta = if (hatEps > 0) hatEps / spread else 0.01
     var probes = 0
-    def feasible(r: Double): Option[OutliersCluster.Result] = {
-      probes += 1
-      val res = OutliersCluster.run(t, k, r, hatEps)
-      if (res.uncoveredWeight <= z) Some(res) else None
+    def probe(r: Double): OutliersCluster.Result = { probes += 1; OutliersCluster.run(t, k, r, hatEps) }
+
+    val trace = GMM.runWhile(t.map(_.vec), math.floorMod(seed, t.length.toLong).toInt)((done, _) => done >= k + z)
+    val rKZ = if (trace.size >= k + z) trace.radiusAfter(trace.size - 1) else 0.0
+    var lo = rKZ / (2.0 * spread)
+    if (rKZ == 0.0) {
+      // Every point of T duplicates one of the trace's distinct points, so
+      // below their closest pair over (3+4ε̂) a probe behaves exactly like r = 0.
+      val at0 = probe(0.0)
+      if (at0.uncoveredWeight <= z) return SearchResult(0.0, at0, probes, 0.0, 0.0)
+      val cs = trace.centers
+      lo = (for (i <- cs.indices; j <- i + 1 until cs.length) yield Points.dist(cs(i), cs(j))).min / spread
     }
 
-    feasible(0.0) match {
-      case Some(res0) => return SearchResult(0.0, res0, probes)
-      case None       => ()
+    // r = 0 is feasible when the trace has ≤ k points, so here it has > k.
+    var hi = trace.radiusAfter(k - 1)
+    var best = probe(hi)
+    var growth = 0
+    while (best.uncoveredWeight > z) {
+      if (growth == MaxHiGrowth)
+        throw new IllegalStateException(s"radius search: r_k(T) = ${trace.radiusAfter(k - 1)} grown " +
+          s"$MaxHiGrowth times by (1+δ) is still infeasible (uncovered ${best.uncoveredWeight} > z = $z)")
+      lo = hi
+      hi *= 1.0 + delta
+      best = probe(hi)
+      growth += 1
     }
-
-    val cand = candidateDistances(t.map(_.vec), seed)
-    // Binary search the smallest feasible candidate. Feasibility is treated
-    // as monotone in r (standard for this greedy; the geometric refinement
-    // below re-verifies the returned radius).
-    var lo = 0
-    var hi = cand.length - 1
-    var best: OutliersCluster.Result = null
-    var bestR = cand(hi)
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      feasible(cand(mid)) match {
-        case Some(res) => best = res; bestR = cand(mid); hi = mid - 1
-        case None      => lo = mid + 1
-      }
+    while (hi / lo > 1.0 + delta) {
+      val mid = math.sqrt(lo * hi)
+      val res = probe(mid)
+      if (res.uncoveredWeight <= z) { best = res; hi = mid } else lo = mid
     }
-    if (best == null) {
-      // The max sampled distance was infeasible (possible when candidates are
-      // sampled); grow geometrically until feasible.
-      var r = cand.last
-      var res: Option[OutliersCluster.Result] = None
-      while (res.isEmpty) { r *= 2.0; res = feasible(r) }
-      best = res.get; bestR = r
-    }
-
-    // Geometric refinement inside the bracketing gap (floor, bestR]: bisect
-    // in log-space until bestR is within (1+δ) of the infeasible floor, so
-    // the returned radius is a (1+δ)-approximation of the minimal feasible
-    // one even when sampled candidates leave a wide gap.
-    val delta = if (hatEps > 0) hatEps / (3.0 + 4.0 * hatEps) else 0.01
-    val floor = if (lo > 0 && lo - 1 < cand.length) cand(math.max(0, lo - 1)) else 0.0
-    var loR = if (floor > 0) floor else bestR * 1e-9
-    var steps = 0
-    while (bestR / loR > 1.0 + delta && steps < 100) {
-      val mid = math.sqrt(loR * bestR)
-      feasible(mid) match {
-        case Some(res) => best = res; bestR = mid
-        case None      => loR = mid
-      }
-      steps += 1
-    }
-    SearchResult(bestR, best, probes)
+    SearchResult(hi, best, probes, lo, rKZ / 2.0)
   }
 }

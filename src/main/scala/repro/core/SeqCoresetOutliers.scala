@@ -12,12 +12,17 @@ package repro.core
   */
 object SeqCoresetOutliers {
 
+  /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
+    * the radius search; see [[RadiusSearch.SearchResult]].
+    */
   final case class Result(
       centers: Array[Array[Double]],
       radius: Double,
       coresetSize: Int,
       coresetMillis: Long,
       searchMillis: Long,
+      probes: Int,
+      optimumLowerBound: Double,
   )
 
   /** Fixed-size variant (benches): coreset of exactly τ = μ(k+z) points. */
@@ -31,7 +36,7 @@ object SeqCoresetOutliers {
     val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()
     Result(sr.clustering.centers, sr.radius, weighted.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000)
+           (t1 - t0) / 1000000, (t2 - t1) / 1000000, sr.probes, sr.optimumLowerBound)
   }
 
   /** ε-driven variant (theory): stopping rule of Sec. 3.2 with base k+z. */
@@ -45,6 +50,6 @@ object SeqCoresetOutliers {
     val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()
     Result(sr.clustering.centers, sr.radius, weighted.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000)
+           (t1 - t0) / 1000000, (t2 - t1) / 1000000, sr.probes, sr.optimumLowerBound)
   }
 }

@@ -25,12 +25,17 @@ object MROutliers {
   /** ε̂-stopping rule with base kBase = k+z (det.) or k+z' (randomized). */
   final case class Precision(hatEps: Double, kBase: Int) extends CoresetSpec
 
+  /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
+    * the round-2 search; see [[RadiusSearch.SearchResult]].
+    */
   final case class Result(
       centers: Array[Array[Double]],
       searchRadius: Double,
       coresetUnionSize: Int,
       round1Millis: Long,
       round2Millis: Long,
+      probes: Int,
+      optimumLowerBound: Double,
   )
 
   /** Round-1 kernel: weighted GMM coreset of one partition (public so tests
@@ -63,7 +68,7 @@ object MROutliers {
     val sr = RadiusSearch.search(union, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()
     Result(sr.clustering.centers, sr.radius, union.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000)
+           (t1 - t0) / 1000000, (t2 - t1) / 1000000, sr.probes, sr.optimumLowerBound)
   }
 
   /** Deterministic algorithm (Sec. 3.2), experiment parametrization:

@@ -20,10 +20,14 @@ final class CoresetOutliers(k: Int, z: Int, mu: Int, hatEps: Double = 0.05, seed
   def result(): CoresetOutliers.Solution = {
     val t: Array[WeightedPoint] = coreset.result()
     val sr = RadiusSearch.search(t, k, z.toLong, hatEps, seed)
-    CoresetOutliers.Solution(sr.clustering.centers, sr.radius, t.length)
+    CoresetOutliers.Solution(sr.clustering.centers, sr.radius, t.length, sr.probes, sr.optimumLowerBound)
   }
 }
 
 object CoresetOutliers {
-  final case class Solution(centers: Array[Array[Double]], searchRadius: Double, coresetSize: Int)
+  /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
+    * the end-of-stream search; see [[RadiusSearch.SearchResult]].
+    */
+  final case class Solution(centers: Array[Array[Double]], searchRadius: Double, coresetSize: Int,
+                            probes: Int, optimumLowerBound: Double)
 }

@@ -140,6 +140,16 @@ class GMMSpec extends SparkSpec {
     }
   }
 
+  test("duplicate inputs: traversal stops at radius 0, no zero-weight centers") {
+    val distinct = TestData.uniform(5, 2, 3L)
+    val pts = Array.tabulate(500)(i => distinct(i % 5))
+    val tr = GMM.coresetBySize(pts, 20)
+    assert(tr.size == 5 && tr.radiusAfter.last == 0.0)
+    val w = GMM.weigh(pts, tr.centers)
+    assert(w.map(_.vec.toSeq).toSet == distinct.map(_.toSeq).toSet)
+    assert(w.forall(_.weight == 100L))
+  }
+
   test("weigh assigns each point to its closest coreset point") {
     val pts = Array(Array(0.0), Array(0.1), Array(10.0), Array(10.2), Array(10.3))
     val core = Array(Array(0.0), Array(10.0))

@@ -30,19 +30,23 @@ class RadiusSearchSpec extends SparkSpec {
   test("search radius is close to minimal: slightly smaller radius is infeasible") {
     TestData.forSeeds(8) { s =>
       val t = unit(TestData.uniform(30, 2, s))
-      val eps = 0.2
+      val (k, z, eps) = (2, 3L, 0.2)
       val delta = eps / (3 + 4 * eps)
-      val sr = RadiusSearch.search(t, 2, 3L, eps)
-      if (sr.radius > 0) {
-        // Shrinking by (1+delta)^2 must break feasibility at *some* smaller
-        // candidate — probe a clearly smaller radius.
-        val smaller = sr.radius / math.pow(1 + delta, 4)
-        val w = OutliersCluster.uncoveredWeight(t, 2, smaller, eps)
-        // Allowed to still be feasible only if smaller is below the smallest
-        // pairwise distance floor; sanity: feasible radius itself verified.
-        assert(OutliersCluster.uncoveredWeight(t, 2, sr.radius, eps) <= 3L)
-        assert(w >= 0) // probe executed
-      }
+      val sr = RadiusSearch.search(t, k, z, eps, seed = s)
+      assert(sr.lowerBound > 0 && sr.radius <= (1 + delta) * sr.lowerBound * (1 + 1e-12),
+             s"seed=$s radius=${sr.radius} lowerBound=${sr.lowerBound}")
+      assert(OutliersCluster.uncoveredWeight(t, k, sr.lowerBound * (1 - 1e-9), eps) > z, s"seed=$s")
+    }
+  }
+
+  test("r_{k+z}(T)/2 lower-bounds the exact optimum r*_{k,z}") {
+    TestData.forSeeds(10) { s =>
+      val pts = TestData.uniform(12, 2, s)
+      val (k, z) = (2, 2)
+      val sr = RadiusSearch.search(unit(pts), k, z.toLong, 0.1, seed = s)
+      val rStar = ExactKCenter.optimalRadiusWithOutliers(pts, k, z)
+      assert(sr.optimumLowerBound > 0 && sr.optimumLowerBound <= rStar + 1e-12,
+             s"seed=$s bound=${sr.optimumLowerBound} rStar=$rStar")
     }
   }
 
@@ -76,21 +80,6 @@ class RadiusSearchSpec extends SparkSpec {
     assert(srLoose.radius <= 1.0 + 1e-9, s"got ${srLoose.radius}") // may discard it
   }
 
-  test("candidateDistances on small sets is all pairwise distances") {
-    val pts = TestData.uniform(10, 2, 2L)
-    val cand = RadiusSearch.candidateDistances(pts, 1L)
-    val expected = (for (i <- pts.indices; j <- (i + 1) until pts.length)
-      yield Points.dist(pts(i), pts(j))).distinct.sorted
-    assert(cand.toSeq == expected)
-  }
-
-  test("candidateDistances samples when pairs exceed the cap") {
-    val pts = TestData.uniform(700, 2, 3L) // 244k pairs > 200k cap
-    val cand = RadiusSearch.candidateDistances(pts, 1L)
-    assert(cand.length <= 200000 && cand.length > 1000)
-    assert(cand.sliding(2).forall { case Array(a, b) => a < b; case _ => true })
-  }
-
   test("probes stay modest (binary + geometric, not linear scan)") {
     val t = unit(TestData.uniform(200, 3, 5L))
     val sr = RadiusSearch.search(t, 4, 10L, 0.2)
@@ -99,6 +88,56 @@ class RadiusSearchSpec extends SparkSpec {
 
   test("empty coreset rejected") {
     intercept[IllegalArgumentException](RadiusSearch.search(Array.empty, 1, 0L, 0.1))
+  }
+
+  test("mixed dimensions rejected") {
+    val t = Array(WeightedPoint(Array(0.0, 0.0), 1L), WeightedPoint(Array(1.0, 1.0, 5.0), 1L))
+    intercept[IllegalArgumentException](RadiusSearch.search(t, 1, 0L, 0.1))
+  }
+
+  test("non-finite coordinates rejected") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val t = Array(WeightedPoint(Array(0.0, 0.0), 1L), WeightedPoint(Array(1.0, bad), 1L))
+      intercept[IllegalArgumentException](RadiusSearch.search(t, 1, 0L, 0.1))
+    }
+  }
+
+  test("weights below 1 rejected") {
+    val t = Array(WeightedPoint(Array(0.0), 3L), WeightedPoint(Array(1.0), 0L))
+    intercept[IllegalArgumentException](RadiusSearch.search(t, 1, 0L, 0.1))
+  }
+
+  test("duplicate-heavy input: r = 0 infeasible, bracket from the closest distinct pair") {
+    // 5 distinct points, 20 copies each: GMM stops at radius 0 after 5 centers.
+    val base = TestData.uniform(5, 2, 4L)
+    val t = unit(Array.tabulate(100)(i => base(i % 5)))
+    val (k, z, eps) = (2, 3L, 0.1)
+    val delta = eps / (3 + 4 * eps)
+    val sr = RadiusSearch.search(t, k, z, eps)
+    val minPair = (for (i <- 0 until 5; j <- i + 1 until 5) yield Points.dist(base(i), base(j))).min
+    assert(sr.probes > 1 && sr.optimumLowerBound == 0.0)
+    assert(sr.clustering.uncoveredWeight <= z)
+    assert(sr.lowerBound >= minPair / (3 + 4 * eps) - 1e-12)
+    assert(sr.radius <= (1 + delta) * sr.lowerBound * (1 + 1e-12))
+  }
+
+  test("|T| <= k+z with r = 0 infeasible still meets the (1+delta) bracket") {
+    val t = TestData.uniform(5, 2, 6L).map(WeightedPoint(_, 10L))
+    val (k, z, eps) = (2, 3L, 0.05)
+    val delta = eps / (3 + 4 * eps)
+    val sr = RadiusSearch.search(t, k, z, eps)
+    assert(sr.radius > 0 && sr.clustering.uncoveredWeight <= z)
+    assert(sr.radius <= (1 + delta) * sr.lowerBound * (1 + 1e-12))
+    assert(OutliersCluster.uncoveredWeight(t, k, sr.lowerBound * (1 - 1e-9), eps) > z)
+  }
+
+  test("eps-hat = 0 uses the 1% tolerance") {
+    TestData.forSeeds(5) { s =>
+      val t = unit(TestData.uniform(60, 3, s))
+      val sr = RadiusSearch.search(t, 3, 4L, 0.0, seed = s)
+      assert(sr.clustering.uncoveredWeight <= 4L)
+      assert(sr.radius <= 1.01 * sr.lowerBound * (1 + 1e-12), s"seed=$s")
+    }
   }
 
   test("single-point coreset returns radius 0") {

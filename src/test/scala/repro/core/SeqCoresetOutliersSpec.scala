@@ -50,6 +50,16 @@ class SeqCoresetOutliersSpec extends SparkSpec {
     assert(res.centers.nonEmpty)
   }
 
+  test("reports the search's probes and a certified lower bound on r*_{k,z}") {
+    TestData.forSeeds(4) { s =>
+      val pts = TestData.uniform(12, 2, s)
+      val res = SeqCoresetOutliers.runFixedSize(pts, 2, 2, tau = 8, seed = s)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 2, 2)
+      assert(res.probes >= 1 && res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12,
+             s"seed=$s probes=${res.probes} bound=${res.optimumLowerBound} opt=$opt")
+    }
+  }
+
   test("timings are recorded") {
     val pts = TestData.uniform(100, 2, 4L)
     val res = SeqCoresetOutliers.runFixedSize(pts, 2, 3, tau = 20)

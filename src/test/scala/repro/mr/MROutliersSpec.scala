@@ -90,6 +90,16 @@ class MROutliersSpec extends SparkSpec {
     }
   }
 
+  test("reports the search's probes and a certified lower bound on r*_{k,z}") {
+    TestData.forSeeds(4) { s =>
+      val pts = TestData.uniform(14, 2, s)
+      val res = MROutliers.runDeterministic(toDS(pts), 2, 2, ell = 2, mu = 2, seed = s)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 2, 2)
+      assert(res.probes >= 1 && res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12,
+             s"seed=$s probes=${res.probes} bound=${res.optimumLowerBound} opt=$opt")
+    }
+  }
+
   test("searchRadius leaves uncovered weight <= z on the coreset") {
     val pts = TestData.uniform(500, 3, 8L)
     val ds = toDS(pts)

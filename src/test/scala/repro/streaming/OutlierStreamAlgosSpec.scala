@@ -47,6 +47,20 @@ class OutlierStreamAlgosSpec extends SparkSpec {
     }
   }
 
+  test("CoresetOutliers reports the search's probes and a certified lower bound on r*_{k,z}") {
+    TestData.forSeeds(4) { s =>
+      val pts = TestData.uniform(14, 2, s)
+      val a = new CoresetOutliers(2, 2, 2)
+      pts.foreach(a.update)
+      val sol = a.result()
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 2, 2)
+      // The bound needs k+z+1 distinct coreset points; merges may leave fewer.
+      assert(sol.probes >= 1 && (sol.optimumLowerBound > 0) == (sol.coresetSize > 4) &&
+             sol.optimumLowerBound <= opt + 1e-12,
+             s"seed=$s probes=${sol.probes} size=${sol.coresetSize} bound=${sol.optimumLowerBound} opt=$opt")
+    }
+  }
+
   test("CoresetOutliers coreset size is bounded by the space budget") {
     val pts = TestData.uniform(500, 3, 9L)
     val a = new CoresetOutliers(2, 8, 2)
