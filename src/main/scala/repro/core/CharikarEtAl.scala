@@ -8,7 +8,7 @@ package repro.core
   * (selection) and 3r (removal).
   *
   * Cost per probe is Θ(k·|S|²) in the worst case, which is why the paper's
-  * Fig. 8 runs it on 10⁴-point samples only (we use 3·10³, see DESIGN.md §4).
+  * Fig. 8 runs it on 10⁴-point samples only; so do we (DESIGN.md §4).
   */
 object CharikarEtAl {
 

@@ -28,10 +28,13 @@ object GMM {
     * radius reaches 0, so that duplicate inputs never become duplicate
     * centers. The first center is `points(firstIdx)` — the paper picks it
     * arbitrarily; benches pass a seed-derived index so that runs are
-    * reproducible yet shuffle-sensitive, as observed in Sec. 5.4.
+    * reproducible yet shuffle-sensitive, as observed in Sec. 5.4. Rejects
+    * mixed dimensions and non-finite coordinates: a NaN point would keep its
+    * distance at `Double.MaxValue` and be re-selected for every later slot.
     */
   def runWhile(points: Array[Array[Double]], firstIdx: Int)(stop: (Int, Double) => Boolean): Trace = {
     require(points.nonEmpty, "GMM needs a non-empty input")
+    Points.requireUniform(points, "GMM input")
     val n = points.length
     val sqd = Array.fill(n)(Double.MaxValue)
     val idxBuf = new scala.collection.mutable.ArrayBuffer[Int]

@@ -11,4 +11,7 @@ package repro.core
 object Par {
   def forRange(n: Int)(f: Int => Unit): Unit =
     java.util.stream.IntStream.range(0, n).parallel().forEach(i => f(i))
+
+  /** Worker threads behind [[forRange]]. */
+  def parallelism: Int = java.util.concurrent.ForkJoinPool.commonPool().getParallelism
 }

@@ -18,6 +18,26 @@ object Points {
     s
   }
 
+  /** Requires every vector to have the first one's dimension and finite
+    * coordinates: [[sqDist]] reads only its first argument's length, and a
+    * NaN distance compares false with everything. `what` names the input in
+    * the error message.
+    */
+  def requireUniform(points: Array[Array[Double]], what: String): Unit = {
+    val dim = points(0).length
+    var i = 0
+    while (i < points.length) {
+      val v = points(i)
+      require(v.length == dim, s"$what point $i has dimension ${v.length}, expected $dim")
+      var c = 0
+      while (c < dim) {
+        require(java.lang.Double.isFinite(v(c)), s"$what point $i has a non-finite coordinate")
+        c += 1
+      }
+      i += 1
+    }
+  }
+
   /** Euclidean distance between two equal-length vectors. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
 

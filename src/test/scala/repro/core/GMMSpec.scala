@@ -121,6 +121,25 @@ class GMMSpec extends SparkSpec {
     intercept[IllegalArgumentException](GMM.run(Array.empty[Array[Double]], 3))
   }
 
+  test("NaN coordinate rejected (it would be re-selected for every slot)") {
+    val pts = TestData.uniform(20, 2, 5L) :+ Array(1.0, Double.NaN)
+    intercept[IllegalArgumentException](GMM.coresetBySize(pts, 10))
+  }
+
+  test("infinite coordinates rejected") {
+    for (bad <- Seq(Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val pts = TestData.uniform(20, 2, 5L) :+ Array(bad, 0.0)
+      intercept[IllegalArgumentException](GMM.run(pts, 3))
+    }
+  }
+
+  test("mixed dimensions rejected") {
+    for (odd <- Seq(Array(1.0), Array(1.0, 2.0, 3.0))) {
+      val pts = TestData.uniform(20, 2, 5L) :+ odd
+      intercept[IllegalArgumentException](GMM.run(pts, 3))
+    }
+  }
+
   test("firstIdx changes the traversal but not the 2-approx guarantee") {
     val pts = TestData.uniform(15, 2, 12L)
     val opt = ExactKCenter.optimalRadius(pts, 3)

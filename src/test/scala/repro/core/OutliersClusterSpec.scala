@@ -131,8 +131,97 @@ class OutliersClusterSpec extends SparkSpec {
       val t = TestData.uniform(25, 2, s).zipWithIndex.map { case (v, i) =>
         WeightedPoint(v, (i % 4) + 1L)
       }
-      val mine = OutliersCluster.run(t, 3, 1.2, 0.15).centers.map(_.toSeq).toSeq
-      assert(mine == naive(t, 3, 1.2, 0.15), s"seed=$s")
+      for (k <- Seq(3, t.length)) {
+        val mine = OutliersCluster.run(t, k, 1.2, 0.15).centers.map(_.toSeq).toSeq
+        assert(mine == naive(t, k, 1.2, 0.15), s"seed=$s k=$k")
+      }
+    }
+  }
+
+  /** Per-radius brute force: weight of T within squared distance `sq` of each point. */
+  private def bruteBallWeights(t: Array[WeightedPoint], sq: Double): Seq[Long] =
+    t.toSeq.map(c => t.filter(p => Points.sqDist(c.vec, p.vec) <= sq).map(_.weight).sum)
+
+  private def checkBallWeights(t: Array[WeightedPoint], sqs: Array[Double], clue: String): Unit = {
+    val got = OutliersCluster.ballWeights(t, sqs)
+    assert(got.length == sqs.length, clue)
+    sqs.indices.foreach(j => assert(got(j).toSeq == bruteBallWeights(t, sqs(j)), s"$clue threshold=${sqs(j)}"))
+  }
+
+  test("ballWeights at several radii equals the per-radius brute-force sum") {
+    TestData.forSeeds(10) { s =>
+      val t = TestData.uniform(60, 3, s).zipWithIndex.map { case (v, i) => WeightedPoint(v, (i % 5) + 1L) }
+      // Exact pair distances as thresholds probe the `<=` boundary; 0 and a
+      // threshold past the diameter probe the ends.
+      val pairs = Seq(Points.sqDist(t(0).vec, t(1).vec), Points.sqDist(t(2).vec, t(7).vec))
+      val sqs = (Seq(0.0, 1.0, 4.0, 25.0, 1e6) ++ pairs ++ pairs).sorted.toArray
+      checkBallWeights(t, sqs, s"seed=$s")
+    }
+  }
+
+  test("ballWeights on a duplicate-heavy input (5 points x 100 copies)") {
+    val base = TestData.uniform(5, 2, 4L)
+    val t = Array.tabulate(500)(i => WeightedPoint(base(i % 5), 1L))
+    val pairs = for (i <- 0 until 5; j <- i + 1 until 5) yield Points.sqDist(base(i), base(j))
+    checkBallWeights(t, (0.0 +: pairs).sorted.toArray, "duplicates")
+    assert(OutliersCluster.ballWeights(t, Array(0.0))(0).forall(_ == 100L))
+  }
+
+  test("ballWeights with heavy mixed weights") {
+    TestData.forSeeds(5) { s =>
+      val heavy = Array(1L, 1000000L, 1000000000000L, 7L)
+      val t = TestData.uniform(40, 2, s).zipWithIndex.map { case (v, i) => WeightedPoint(v, heavy(i % 4)) }
+      checkBallWeights(t, Array(0.25, 2.0, 9.0, 9.0, 200.0), s"seed=$s")
+    }
+  }
+
+  test("ballWeights with no thresholds returns no rows; descending thresholds rejected") {
+    val t = unit(TestData.uniform(5, 2, 1L))
+    assert(OutliersCluster.ballWeights(t, Array.empty).isEmpty)
+    intercept[IllegalArgumentException](OutliersCluster.ballWeights(t, Array(4.0, 1.0)))
+  }
+
+  test("greedy seeded with ballWeights equals run at every grid radius") {
+    TestData.forSeeds(6) { s =>
+      val t = TestData.uniform(80, 3, s).zipWithIndex.map { case (v, i) => WeightedPoint(v, (i % 3) + 1L) }
+      val (k, z, eps) = (3, 6, 0.1)
+      // The radius search's grid over its certified bracket [lo, hi].
+      val spread = 3 + 4 * eps
+      val delta = eps / spread
+      val trace = GMM.runWhile(t.map(_.vec), 0)((done, _) => done >= k + z)
+      val (lo, hi) = (trace.radiusAfter(k + z - 1) / (2 * spread), trace.radiusAfter(k - 1))
+      val bigJ = math.ceil(math.log(hi / lo) / math.log1p(delta)).toInt
+      val radii = (0 until bigJ).map(j => lo * math.pow(1 + delta, j)) :+ hi
+      val weights = OutliersCluster.ballWeights(t, radii.map(OutliersCluster.innerSq(_, eps)).toArray)
+      radii.zipWithIndex.foreach { case (r, j) =>
+        val seeded = OutliersCluster.greedy(t, k, r, eps, weights(j))
+        val ref = OutliersCluster.run(t, k, r, eps)
+        val clue = s"seed=$s j=$j r=$r"
+        assert(seeded.centers.map(_.toSeq).toSeq == ref.centers.map(_.toSeq).toSeq, clue)
+        assert(seeded.uncovered.map(p => (p.vec.toSeq, p.weight)).toSeq ==
+               ref.uncovered.map(p => (p.vec.toSeq, p.weight)).toSeq, clue)
+        assert(seeded.uncoveredWeight == ref.uncoveredWeight, clue)
+      }
+    }
+  }
+
+  test("run rejects mixed dimensions") {
+    // sqDist reads only its first argument's length, so this must fail loudly.
+    val t = Array(WeightedPoint(Array(0.0, 0.0), 1L), WeightedPoint(Array(1.0, 1.0, 5.0), 1L))
+    intercept[IllegalArgumentException](OutliersCluster.run(t, 1, 1.0, 0.1))
+  }
+
+  test("run rejects non-finite coordinates") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val t = Array(WeightedPoint(Array(0.0, 0.0), 1L), WeightedPoint(Array(1.0, bad), 1L))
+      intercept[IllegalArgumentException](OutliersCluster.run(t, 1, 1.0, 0.1))
+    }
+  }
+
+  test("run rejects weights below 1") {
+    for (bad <- Seq(0L, -3L)) {
+      val t = Array(WeightedPoint(Array(0.0), 3L), WeightedPoint(Array(1.0), bad))
+      intercept[IllegalArgumentException](OutliersCluster.run(t, 1, 1.0, 0.1))
     }
   }
 

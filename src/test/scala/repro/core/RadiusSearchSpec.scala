@@ -39,6 +39,17 @@ class RadiusSearchSpec extends SparkSpec {
     }
   }
 
+  test("returned clustering equals OutliersCluster.run at the returned radius") {
+    TestData.forSeeds(8) { s =>
+      val t = TestData.uniform(70, 3, s).zipWithIndex.map { case (v, i) => WeightedPoint(v, (i % 4) + 1L) }
+      val (k, z, eps) = (3, 8L, 0.1)
+      val sr = RadiusSearch.search(t, k, z, eps, seed = s)
+      val ref = OutliersCluster.run(t, k, sr.radius, eps)
+      assert(sr.clustering.centers.map(_.toSeq).toSeq == ref.centers.map(_.toSeq).toSeq, s"seed=$s")
+      assert(sr.clustering.uncoveredWeight == ref.uncoveredWeight, s"seed=$s")
+    }
+  }
+
   test("r_{k+z}(T)/2 lower-bounds the exact optimum r*_{k,z}") {
     TestData.forSeeds(10) { s =>
       val pts = TestData.uniform(12, 2, s)
@@ -82,8 +93,16 @@ class RadiusSearchSpec extends SparkSpec {
 
   test("probes stay modest (binary + geometric, not linear scan)") {
     val t = unit(TestData.uniform(200, 3, 5L))
-    val sr = RadiusSearch.search(t, 4, 10L, 0.2)
-    assert(sr.probes < 120, s"probes=${sr.probes}")
+    val (k, z, eps, seed) = (4, 10, 0.2, 42L)
+    val sr = RadiusSearch.search(t, k, z.toLong, eps, seed)
+    // The certified bracket of the same input: non-degenerate, so no r = 0 probe.
+    val spread = 3 + 4 * eps
+    val trace = GMM.runWhile(t.map(_.vec), math.floorMod(seed, t.length.toLong).toInt)((done, _) => done >= k + z)
+    val (lo, hi) = (trace.radiusAfter(k + z - 1) / (2 * spread), trace.radiusAfter(k - 1))
+    assert(lo > 0 && hi > lo)
+    val bigJ = math.ceil(math.log(hi / lo) / math.log1p(eps / spread)).toInt
+    val perPass = 32 - Integer.numberOfLeadingZeros(math.ceil(math.sqrt(bigJ)).toInt) // ⌈log₂(⌈√J⌉+1)⌉
+    assert(sr.probes <= 1 + 2 * perPass, s"probes=${sr.probes} J=$bigJ")
   }
 
   test("empty coreset rejected") {
