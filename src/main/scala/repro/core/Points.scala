@@ -25,17 +25,23 @@ object Points {
     */
   def requireUniform(points: Array[Array[Double]], what: String): Unit = {
     val dim = points(0).length
+    val name = s"$what point"
     var i = 0
-    while (i < points.length) {
-      val v = points(i)
-      require(v.length == dim, s"$what point $i has dimension ${v.length}, expected $dim")
-      var c = 0
-      while (c < dim) {
-        require(java.lang.Double.isFinite(v(c)), s"$what point $i has a non-finite coordinate")
-        c += 1
-      }
-      i += 1
-    }
+    while (i < points.length) { requirePoint(points(i), dim, name, i); i += 1 }
+  }
+
+  /** Requires `v` to have dimension `dim` and finite coordinates. The error
+    * message calls it "`what` `index`"; it is built only on failure, so the
+    * check allocates nothing on a hot path.
+    */
+  def requirePoint(v: Array[Double], dim: Int, what: String, index: Long): Unit = {
+    if (v.length != dim)
+      throw new IllegalArgumentException(
+        s"requirement failed: $what $index has dimension ${v.length}, expected $dim")
+    var c = 0
+    while (c < dim && java.lang.Double.isFinite(v(c))) c += 1
+    if (c < dim)
+      throw new IllegalArgumentException(s"requirement failed: $what $index has a non-finite coordinate")
   }
 
   /** Euclidean distance between two equal-length vectors. */

@@ -31,7 +31,7 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
   require(k >= 1 && z >= 0 && m >= 1)
   val space: Int = m * (k + 1) * (z + 1)
 
-  private val poolCap = (k + 1) * (z + 1)
+  private[streaming] val poolCap = (k + 1) * (z + 1)
 
   private final class Instance(var r: Double) {
     var centers = new ArrayBuffer[Array[Double]](k)
@@ -104,14 +104,17 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
       if (centers.nonEmpty && Points.sqDistToSet(p, centers.toArray) <= fourRSq) return
       addFree(p)
       if (promotable) promoteLoop()
-      var guard = 0
-      while (free.length >= poolCap && guard < 64) { // guess falsified: double r
+      // Guess falsified: double r until the pool fits. Once 2r exceeds every
+      // pairwise distance, one promotion empties the pool; r can overflow
+      // first only if the distances themselves overflow.
+      while (free.length >= poolCap) {
         val carry = (centers ++ free).toArray
         centers = new ArrayBuffer[Array[Double]](k)
         free = new ArrayBuffer[Array[Double]](poolCap + 1)
         cnt = new ArrayBuffer[Int](poolCap + 1)
         promotable = false
         r *= 2.0
+        if (r.isInfinite) throw new IllegalStateException("BaseOutliers: radius guess overflowed")
         var j = 0
         while (j < carry.length) {
           val q = carry(j)
@@ -119,7 +122,6 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
           j += 1
         }
         promoteLoop()
-        guard += 1
       }
     }
 
@@ -135,10 +137,14 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
   private val initBuf = new ArrayBuffer[Array[Double]](k + z + 1)
   private var instances: Array[Instance] = _
   private var processed = 0L
+  private var dim = 0
 
   def pointsProcessed: Long = processed
 
+  /** Points must have the first point's dimension and finite coordinates. */
   def update(p: Array[Double]): Unit = {
+    if (processed == 0) dim = p.length
+    Points.requirePoint(p, dim, "stream point", processed + 1)
     processed += 1
     if (instances == null) {
       initBuf += p
@@ -160,6 +166,10 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
     var j = 0
     while (j < m) { instances(j).insert(p); j += 1 }
   }
+
+  /** Pool size of every instance; each is below `poolCap` after an update. */
+  private[streaming] def poolSizes: Seq[Int] =
+    if (instances == null) Nil else instances.toSeq.map(_.free.length)
 
   /** Centers of the smallest surviving guess (leftover free points are the
     * instance's outlier estimate; callers evaluate the true objective on the

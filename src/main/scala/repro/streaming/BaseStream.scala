@@ -39,10 +39,14 @@ final class BaseStream(k: Int, m: Int) {
   private val initBuf = new ArrayBuffer[Array[Double]](k + 1)
   private var instances: Array[Instance] = _
   private var processed = 0L
+  private var dim = 0
 
   def pointsProcessed: Long = processed
 
+  /** Points must have the first point's dimension and finite coordinates. */
   def update(p: Array[Double]): Unit = {
+    if (processed == 0) dim = p.length
+    Points.requirePoint(p, dim, "stream point", processed + 1)
     processed += 1
     if (instances == null) {
       initBuf += p

@@ -1,9 +1,129 @@
 package repro.streaming
 
-import repro.core.{ExactKCenter, Points}
+import repro.core.{ExactKCenter, Points, WeightedPoint}
+import repro.data.Datasets
 import repro.{SparkSpec, TestData}
+import scala.collection.mutable.ArrayBuffer
 
 class DoublingCoresetSpec extends SparkSpec {
+  import DoublingCoresetSpec.ScalarDoubling
+
+  /** Streams `pts` through the tiled-scan coreset and the scalar reference
+    * and asserts identical centers (in order), weights, φ and point counts.
+    * Returns φ after initialization and at the end.
+    */
+  private def assertMatchesReference(pts: Array[Array[Double]], tau: Int, weighted: Boolean,
+                                     what: String): (Double, Double) = {
+    val dc = new DoublingCoreset(tau, weighted)
+    val ref = new ScalarDoubling(tau, weighted)
+    var phiInit = 0.0
+    pts.indices.foreach { i =>
+      dc.update(pts(i)); ref.update(pts(i))
+      if (i == tau) phiInit = ref.phi
+    }
+    val (got, want) = (dc.result(), ref.result())
+    assert(got.length == want.length, what)
+    got.indices.foreach { i =>
+      assert(got(i).vec.sameElements(want(i).vec), s"$what: center $i")
+      assert(got(i).weight == want(i).weight, s"$what: weight of center $i")
+    }
+    assert(dc.phi == ref.phi, what)
+    assert(dc.pointsProcessed == ref.pointsProcessed, what)
+    (phiInit, ref.phi)
+  }
+
+  test("tiled scan equals the scalar reference scan (uniform 2-d, one partial tile to many tiles)") {
+    for (weighted <- Seq(true, false); tau <- Seq(1, 2, 3, 5, 20, 63, 64, 150); s <- Seq(1L, 2L)) {
+      val what = s"weighted=$weighted tau=$tau seed=$s"
+      val (phi0, phi) = assertMatchesReference(TestData.uniform(3000, 2, s), tau, weighted, what)
+      // At tau <= 3 (one partial tile) the initial 8*phi already covers the box.
+      if (tau >= 5) assert(phi > phi0, s"$what: merges happen after initialization")
+    }
+  }
+
+  test("tiled scan equals the scalar reference scan (higgsLike 7-d, wikiLike 50-d, merges forced)") {
+    for (weighted <- Seq(true, false)) {
+      for ((spec, n, tau) <- Seq((Datasets.higgsLike, 20000, 200), (Datasets.higgsLike, 6000, 40),
+                                 (Datasets.wikiLike, 6000, 880))) {
+        val pts = Datasets.localPoints(spec, n, 5L)
+        val what = s"${spec.name} tau=$tau weighted=$weighted"
+        val (phi0, phi) = assertMatchesReference(pts, tau, weighted, what)
+        assert(phi > phi0, s"$what: merges happen after initialization")
+      }
+    }
+  }
+
+  test("tiled scan equals the scalar reference scan on duplicate-heavy and tied streams") {
+    val rnd = new scala.util.Random(3L)
+    val base = TestData.uniform(40, 3, 9L)
+    // 90 % repeats of 40 distinct points, 10 % fresh points.
+    val pts = Array.fill(4000)(if (rnd.nextDouble() < 0.9) base(rnd.nextInt(40)) else Array.fill(3)(rnd.nextDouble() * 10))
+    for (weighted <- Seq(true, false); tau <- Seq(8, 70))
+      assertMatchesReference(pts, tau, weighted, s"weighted=$weighted tau=$tau")
+    // Integer lattice points: many exactly tied distances.
+    val lattice = Array.fill(4000)(Array.fill(2)(rnd.nextInt(30).toDouble))
+    for (weighted <- Seq(true, false); tau <- Seq(20, 70))
+      assertMatchesReference(lattice, tau, weighted, s"lattice weighted=$weighted tau=$tau")
+    val dupPrefix = Array.fill(100)(Array(1.0, 2.0, 3.0)) ++ pts
+    for (weighted <- Seq(true, false))
+      assertMatchesReference(dupPrefix, 30, weighted, s"duplicate prefix weighted=$weighted")
+  }
+
+  test("every absorbed point goes to its brute-force closest center") {
+    for ((pts, tau) <- Seq((Datasets.localPoints(Datasets.higgsLike, 4000, 2L), 100),
+                           (TestData.uniform(3000, 2, 4L), 40))) {
+      val dc = new DoublingCoreset(tau)
+      pts.take(tau + 1).foreach(dc.update)
+      var absorbed = 0
+      pts.drop(tau + 1).foreach { p =>
+        val before = dc.result()
+        val phi = dc.phi
+        dc.update(p)
+        val after = dc.result()
+        if (dc.phi == phi && after.length == before.length) {
+          val centers = before.map(_.vec)
+          val grown = before.indices.filter(i => after(i).weight != before(i).weight)
+          assert(grown == Seq(Points.closestIndex(p, centers)))
+          assert(after(grown.head).weight == before(grown.head).weight + 1)
+          assert(Points.sqDistToSet(p, centers) <= { val d = 8 * phi; d * d })
+          absorbed += 1
+        }
+      }
+      assert(absorbed > pts.length / 2)
+    }
+  }
+
+  test("a duplicate-heavy prefix jumps straight to the first doubling that merges") {
+    // 881 copies of one point leave phi at Double.MIN_NORMAL after
+    // initialization; the next overflow then needs ~1000 doublings, all but
+    // the last merging nothing.
+    val tau = 880
+    val pts = Array.fill(tau + 1)(Array(0.5, 0.5)) ++ TestData.uniform(2500, 2, 8L)
+    val ref = new ScalarDoubling(tau, weighted = true)
+    pts.foreach(ref.update)
+    val dc = new DoublingCoreset(tau)
+    pts.foreach(dc.update)
+    assert(dc.result().map(_.vec.toSeq).toSeq == ref.result().map(_.vec.toSeq).toSeq)
+    assert(dc.result().map(_.weight).toSeq == ref.result().map(_.weight).toSeq)
+    assert(dc.phi == ref.phi && dc.phi > 1e-3)
+    // Both merge in the same passes; the jump adds one pass that merges
+    // nothing where step-by-step doubling ran about a thousand.
+    assert(ref.passes > 1000)
+    assert(dc.mergePasses <= ref.mergingPasses + 1, s"${dc.mergePasses} passes, ${ref.mergingPasses} merging")
+  }
+
+  test("rejects points of another dimension or with non-finite coordinates") {
+    for (after <- Seq(2, 20)) { // while buffering the prefix, and after initialization
+      val dc = new DoublingCoreset(5)
+      TestData.uniform(after, 3, 1L).foreach(dc.update)
+      for (bad <- Seq(Array(1.0, 2.0), Array(1.0, 2.0, 3.0, 4.0), Array(1.0, Double.NaN, 3.0),
+                      Array(Double.PositiveInfinity, 2.0, 3.0), Array(1.0, 2.0, Double.NegativeInfinity)))
+        intercept[IllegalArgumentException](dc.update(bad))
+      assert(dc.pointsProcessed == after)
+      dc.update(Array(1.0, 2.0, 3.0))
+      assert(dc.result().map(_.weight).sum == after + 1L)
+    }
+  }
 
   test("size never exceeds tau (invariant a)") {
     TestData.forSeeds(10) { s =>
@@ -113,5 +233,80 @@ class DoublingCoresetSpec extends SparkSpec {
 
   test("rejects tau < 1") {
     intercept[IllegalArgumentException](new DoublingCoreset(0))
+  }
+}
+
+object DoublingCoresetSpec {
+
+  /** Reference: the doubling coreset with a scalar nearest-center scan over
+    * the centers and one-step-at-a-time doubling.
+    */
+  final class ScalarDoubling(tau: Int, weighted: Boolean) {
+    private val init = new ArrayBuffer[Array[Double]](tau + 1)
+    private var vecs = new ArrayBuffer[Array[Double]]()
+    private var ws   = new ArrayBuffer[Long]()
+    private var initialized = false
+    private var phiV = 0.0
+    private var processed = 0L
+
+    def phi: Double = phiV
+    def pointsProcessed: Long = processed
+    /** Merge-rule passes run, and those of them that merged a pair. */
+    var passes = 0
+    var mergingPasses = 0
+
+    private def mergeRule(): Unit = {
+      passes += 1
+      phiV *= 2.0
+      val sepSq = { val s = 4.0 * phiV; s * s }
+      val nv = new ArrayBuffer[Array[Double]]()
+      val nw = new ArrayBuffer[Long]()
+      var i = 0
+      while (i < vecs.length) {
+        var j = 0
+        while (j < nv.length && Points.sqDist(vecs(i), nv(j)) > sepSq) j += 1
+        if (j < nv.length) nw(j) += ws(i) else { nv += vecs(i); nw += ws(i) }
+        i += 1
+      }
+      if (nv.length < vecs.length) mergingPasses += 1
+      vecs = nv
+      ws = nw
+    }
+
+    def update(p: Array[Double]): Unit = {
+      processed += 1
+      if (!initialized) {
+        init += p
+        if (init.length == tau + 1) {
+          vecs = init.clone()
+          ws = ArrayBuffer.fill(init.length)(1L)
+          phiV = (for (i <- init.indices; j <- (i + 1) until init.length) yield Points.dist(init(i), init(j))).min / 2.0
+          if (phiV <= 0) phiV = java.lang.Double.MIN_NORMAL
+          mergeRule()
+          while (vecs.length > tau) mergeRule()
+          initialized = true
+        }
+        return
+      }
+      val limSq = { val d = 8.0 * phiV; d * d }
+      var best = Double.MaxValue
+      var bi = -1
+      var i = 0
+      while (i < vecs.length && (weighted || best > limSq)) {
+        val d = Points.sqDist(p, vecs(i))
+        if (d < best) { best = d; bi = i }
+        i += 1
+      }
+      if (best <= limSq) ws(bi) += 1L
+      else {
+        vecs += p
+        ws += 1L
+        while (vecs.length > tau) mergeRule()
+      }
+    }
+
+    def result(): Array[WeightedPoint] =
+      if (initialized) vecs.indices.map(i => WeightedPoint(vecs(i), ws(i))).toArray
+      else init.map(WeightedPoint(_, 1L)).toArray
   }
 }

@@ -117,4 +117,26 @@ class OutlierStreamAlgosSpec extends SparkSpec {
     TestData.uniform(4, 2, 1L).foreach(c.update)
     assert(c.result().centers.nonEmpty)
   }
+
+  test("BaseOutliers rejects points of another dimension or with non-finite coordinates") {
+    for (after <- Seq(2, 30)) { // while buffering the first k+z+1 points, and after
+      val a = new BaseOutliers(3, 2, 2)
+      TestData.uniform(after, 3, 1L).foreach(a.update)
+      for (bad <- Seq(Array(1.0, 2.0), Array(1.0, 2.0, 3.0, 4.0), Array(1.0, Double.NaN, 3.0),
+                      Array(Double.PositiveInfinity, 2.0, 3.0), Array(1.0, 2.0, Double.NegativeInfinity)))
+        intercept[IllegalArgumentException](a.update(bad))
+      assert(a.pointsProcessed == after)
+    }
+  }
+
+  test("BaseOutliers keeps doubling r until the pool fits after an all-duplicate prefix") {
+    // The duplicate prefix sets r0 = 5e-13; the spread points need about 240
+    // doublings before any two of them share a 2r-ball.
+    val (k, z) = (2, 1)
+    val a = new BaseOutliers(k, z, 2)
+    (0 to k + z).foreach(_ => a.update(Array(0.0, 0.0)))
+    (1 to 8).foreach(i => a.update(Array(i * 1e60, 0.0)))
+    assert(a.poolSizes.nonEmpty && a.poolSizes.forall(_ < a.poolCap), a.poolSizes)
+    assert(a.result().nonEmpty)
+  }
 }

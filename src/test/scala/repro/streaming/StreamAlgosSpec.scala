@@ -119,4 +119,15 @@ class StreamAlgosSpec extends SparkSpec {
     pts.foreach(a.update)
     assert(a.result().length <= 5)
   }
+
+  test("BaseStream rejects points of another dimension or with non-finite coordinates") {
+    for (after <- Seq(2, 20)) { // while buffering the first k+1 points, and after
+      val a = new BaseStream(4, 2)
+      TestData.uniform(after, 3, 1L).foreach(a.update)
+      for (bad <- Seq(Array(1.0, 2.0), Array(1.0, 2.0, 3.0, 4.0), Array(1.0, Double.NaN, 3.0),
+                      Array(Double.PositiveInfinity, 2.0, 3.0), Array(1.0, 2.0, Double.NegativeInfinity)))
+        intercept[IllegalArgumentException](a.update(bad))
+      assert(a.pointsProcessed == after)
+    }
+  }
 }
