@@ -12,11 +12,14 @@ package repro.core
   */
 object CharikarEtAl {
 
-  final case class Result(centers: Array[Array[Double]], radius: Double, probes: Int)
+  /** `probes` and `optimumLowerBound` (r_{k+z}(S)/2 ≤ r*_{k,z}(S)) come from
+    * the radius search; see [[RadiusSearch.SearchResult]].
+    */
+  final case class Result(centers: Array[Array[Double]], radius: Double, probes: Int, optimumLowerBound: Double)
 
   def run(points: Array[Array[Double]], k: Int, z: Int, seed: Long = 42L): Result = {
     val weighted = points.map(WeightedPoint(_, 1L))
     val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps = 0.0, seed = seed)
-    Result(sr.clustering.centers, sr.radius, sr.probes)
+    Result(sr.clustering.centers, sr.radius, sr.probes, sr.optimumLowerBound)
   }
 }

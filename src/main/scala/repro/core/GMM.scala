@@ -9,7 +9,9 @@ package repro.core
   * union of coresets.
   *
   * Complexity: O(|S|·τ) distance evaluations for τ selected centers, via the
-  * classic "maintain d(s, T) per point" incremental update.
+  * classic "maintain d(s, T) per point" incremental update; each evaluation
+  * stops once it exceeds the point's current d(s, T)²
+  * ([[Points.sqDistWithin]]).
   */
 object GMM {
 
@@ -49,7 +51,7 @@ object GMM {
       var worstIdx = 0
       var i = 0
       while (i < n) {
-        val d = Points.sqDist(points(i), c)
+        val d = Points.sqDistWithin(points(i), c, sqd(i))
         if (d < sqd(i)) sqd(i) = d
         if (sqd(i) > worst) { worst = sqd(i); worstIdx = i }
         i += 1

@@ -13,17 +13,32 @@ package repro.core
   * sequential 3-approximation of Charikar et al. [16] for one radius guess.
   *
   * Implementation notes (pure optimizations — selection is still the exact
-  * argmax of the paper, ties broken by lowest index):
+  * argmax of the paper, ties broken by lowest index, and every output is
+  * bit-identical to the plain scan):
+  *  - every distance is only compared with a threshold, so every distance is
+  *    computed by [[Points.sqDistWithin]], which stops once the partial sum
+  *    exceeds the threshold and otherwise returns [[Points.sqDist]] exactly;
   *  - the first argmax needs every candidate's ball weight over all of T;
-  *    [[ballWeights]] computes them in one parallel pass over the pairs, for
-  *    as many radii as the caller asks, so the radius search shares each
-  *    pair's distance across its probes;
+  *    [[ballWeights]] computes them in one parallel pass that visits each
+  *    unordered pair once, for as many radii as the caller asks, so the
+  *    radius search shares each pair's distance across its probes;
   *  - later iterations use lazy re-evaluation: a candidate's ball weight is
   *    non-increasing over iterations (the uncovered set only shrinks), so a
   *    max-heap of cached weights needs to refresh only entries that surface
   *    at the top — the classic lazy-greedy argument applies verbatim. Stale
-  *    heads are refreshed in parallel batches; every cached weight stays an
-  *    upper bound, so a fresh head is still the exact argmax.
+  *    heads are refreshed in parallel batches of 8·(cores+1); every cached
+  *    weight stays an upper bound, so a fresh head is still the exact argmax;
+  *  - dead candidates (the triangle-inequality argument of Elkan, ICML 2003):
+  *    once x is chosen, a candidate c with d(x, c) ≤ (2+2ε̂)r has its
+  *    selection ball inside E_x, since d(x, u) ≤ d(x, c) + d(c, u) ≤
+  *    (2+2ε̂)r + (1+2ε̂)r = (3+4ε̂)r, so its weight is 0 for good and its
+  *    refreshes compute no distance. The test is made on squared distances
+  *    against ((2+2ε̂)r)²·(1 − 1e-9): a computed squared distance in d
+  *    dimensions is within a relative (d+2)·2^-53 of the true one (6e-15 at
+  *    d = 50), far inside that margin for any d up to 10^6, as long as no
+  *    term is subnormal. So the rule is off at r = 0 and wherever the squared
+  *    threshold is below 2^-900, where a subnormal term's absolute error
+  *    could matter.
   */
 object OutliersCluster {
 
@@ -64,8 +79,12 @@ object OutliersCluster {
   /** Every candidate's selection-ball weight over all of T at several radii:
     * `ballWeights(t, innerSqs)(j)(i)` is the weight of the points of T within
     * squared distance `innerSqs(j)` of `t(i)`. `innerSqs` must be ascending.
-    * One parallel pass over all pairs bins each squared distance against the
-    * thresholds; cumulative sums follow.
+    * One parallel pass visits each unordered pair {i, j} once and bins its
+    * squared distance against the thresholds, adding w_j to i's bin and w_i
+    * to j's; cumulative sums follow. Each worker keeps its own |T|×m counts
+    * (O(cores·|T|·m) memory) and takes the next row as it finishes one, so
+    * the long first rows spread over the workers; the integer sums are exact
+    * whatever the split.
     */
   def ballWeights(t: Array[WeightedPoint], innerSqs: Array[Double]): Array[Array[Long]] = {
     val m = innerSqs.length
@@ -76,22 +95,39 @@ object OutliersCluster {
     val out = Array.ofDim[Long](m, n)
     if (m > 0) {
       val top = innerSqs(m - 1)
-      Par.forRange(n) { i =>
-        val cv = vecs(i)
-        val bins = new Array[Long](m)
-        var j = 0
-        while (j < n) {
-          val d = Points.sqDist(cv, vecs(j))
-          if (d <= top) {
-            var b = 0
-            while (d > innerSqs(b)) b += 1
-            bins(b) += ws(j)
+      def bin(d: Double): Int = { var b = 0; while (d > innerSqs(b)) b += 1; b }
+      val workers = Par.parallelism + 1
+      val counts = Array.fill(workers)(new Array[Long](n * m)) // row i at i·m
+      val nextRow = new java.util.concurrent.atomic.AtomicInteger
+      Par.forRange(workers) { c =>
+        val own = counts(c)
+        var i = nextRow.getAndIncrement()
+        while (i < n) {
+          val vi = vecs(i)
+          val wi = ws(i)
+          if (top >= 0.0) own(i * m + bin(0.0)) += wi // the pair (i, i)
+          var j = i + 1
+          while (j < n) {
+            val d = Points.sqDistWithin(vi, vecs(j), top)
+            if (d <= top) {
+              val b = bin(d)
+              own(i * m + b) += ws(j)
+              own(j * m + b) += wi
+            }
+            j += 1
           }
-          j += 1
+          i = nextRow.getAndIncrement()
         }
+      }
+      Par.forRange(n) { i =>
         var acc = 0L
         var b = 0
-        while (b < m) { acc += bins(b); out(b)(i) = acc; b += 1 }
+        while (b < m) {
+          var c = 0
+          while (c < workers) { acc += counts(c)(i * m + b); c += 1 }
+          out(b)(i) = acc
+          b += 1
+        }
       }
     }
     out
@@ -108,17 +144,22 @@ object OutliersCluster {
     val ws = t.map(_.weight)
     val inSq = innerSq(r, hatEps)
     val outerSq = { val d = (3.0 + 4.0 * hatEps) * r; d * d } // ball E_x
+    // Candidates this close to a chosen center are dead (see the notes above).
+    val deadSq = { val d = (2.0 + 2.0 * hatEps) * r; d * d * (1.0 - DeadMargin) }
+    val deadRule = deadSq >= MinDeadSq
+    val dead = new Array[Boolean](n)
+    var marked = 0L
 
     // Compact array of indices of currently uncovered points.
     val unc    = Array.tabulate(n)(identity)
     var uncLen = n
 
-    def ballWeight(cand: Int): Long = {
+    def ballWeight(cand: Int): Long = if (dead(cand)) 0L else {
       val cv = vecs(cand)
       var w = 0L
       var ui = 0
       while (ui < uncLen) {
-        if (Points.sqDist(cv, vecs(unc(ui))) <= inSq) w += ws(unc(ui))
+        if (Points.sqDistWithin(cv, vecs(unc(ui)), inSq) <= inSq) w += ws(unc(ui))
         ui += 1
       }
       w
@@ -136,7 +177,7 @@ object OutliersCluster {
     var i = 0
     while (i < n) { heap.add(i); i += 1 }
 
-    val stale = new Array[Int](2 * (Par.parallelism + 1))
+    val stale = new Array[Int](RefreshBatch * (Par.parallelism + 1))
     val centers = new scala.collection.mutable.ArrayBuffer[Array[Double]](k)
     var iter = 0
     while (centers.length < k && uncLen > 0) {
@@ -159,16 +200,44 @@ object OutliersCluster {
       var keep = 0
       var ui = 0
       while (ui < uncLen) {
-        if (Points.sqDist(x, vecs(unc(ui))) > outerSq) { unc(keep) = unc(ui); keep += 1 }
+        if (Points.sqDistWithin(x, vecs(unc(ui)), outerSq) > outerSq) { unc(keep) = unc(ui); keep += 1 }
         ui += 1
       }
       uncLen = keep
       iter += 1
+      if (deadRule && centers.length < k && uncLen > 0) {
+        // A cached weight of 0 is final already.
+        var c = 0
+        while (c < n) {
+          if (!dead(c) && cached(c) > 0L && Points.sqDistWithin(x, vecs(c), deadSq) <= deadSq) {
+            dead(c) = true
+            marked += 1
+          }
+          c += 1
+        }
+      }
     }
+    deadMarks.addAndGet(marked)
 
     val uncovered = Array.tabulate(uncLen)(j => WeightedPoint(vecs(unc(j)), ws(unc(j))))
     Result(centers.toArray, uncovered, uncovered.map(_.weight).sum)
   }
+
+  /** Stale heap heads refreshed per batch, per worker thread. */
+  private val RefreshBatch = 8
+
+  /** Relative margin of the dead-candidate test, far above the rounding
+    * error of a squared distance.
+    */
+  private val DeadMargin = 1e-9
+
+  /** Below this squared threshold subnormal terms could exceed the margin,
+    * so the dead-candidate rule is off.
+    */
+  private val MinDeadSq = java.lang.Math.scalb(1.0, -900)
+
+  /** Candidates marked dead since start-up, for tests. */
+  private[core] val deadMarks = new java.util.concurrent.atomic.AtomicLong
 
   /** Just the uncovered weight for a radius guess — the feasibility probe the
     * radius search uses (feasible iff ≤ z).

@@ -13,7 +13,11 @@ import repro.eval.Evaluate
   */
 object Fig8Sequential {
 
-  final case class Row(dataset: String, algo: String, timeMs: Long, radius: Double)
+  /** `cert` is the mean over repetitions of radius / optimumLowerBound from
+    * the run's radius search, an upper bound on its approximation ratio; ∞ at
+    * μ = 1, whose coreset of k+z points certifies no lower bound.
+    */
+  final case class Row(dataset: String, algo: String, timeMs: Long, radius: Double, cert: Double)
 
   val mus: Seq[Int] = Seq(1, 2, 4, 8)
 
@@ -30,15 +34,16 @@ object Fig8Sequential {
           algo match {
             case "CharikarEtAl" =>
               val (res, ms) = Evaluate.timed(CharikarEtAl.run(stream, k, z, seed = cfg.seed + rep))
-              (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z))
+              (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z), res.optimumLowerBound)
             case _ =>
               val mu = if (algo.startsWith("Malkomes")) 1 else algo.stripPrefix("Coreset(mu=").stripSuffix(")").toInt
               val (res, ms) = Evaluate.timed(
                 SeqCoresetOutliers.runFixedSize(stream, k, z, mu * (k + z), seed = cfg.seed + rep))
-              (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z))
+              (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z), res.optimumLowerBound)
           }
         }
-        Row(spec.name, algo, reps.map(_._1).sum / reps.size, reps.map(_._2).sum / reps.size)
+        Row(spec.name, algo, reps.map(_._1).sum / reps.size, reps.map(_._2).sum / reps.size,
+            reps.map(r => r._2 / r._3).sum / reps.size)
       }
     }
     out.flatten
@@ -46,6 +51,6 @@ object Fig8Sequential {
 
   def render(rows: Seq[Row]): String =
     Tables.render("Fig. 8 — Sequential k-center with z outliers: time & radius",
-      Seq("dataset", "algo", "time_ms", "radius"),
-      rows.map(r => Seq(r.dataset, r.algo, r.timeMs.toString, Tables.f(r.radius))))
+      Seq("dataset", "algo", "time_ms", "radius", "cert"),
+      rows.map(r => Seq(r.dataset, r.algo, r.timeMs.toString, Tables.f(r.radius), Tables.f(r.cert))))
 }

@@ -1,7 +1,7 @@
 package repro.mr
 
 import org.apache.spark.sql.Dataset
-import repro.core.{GMM, Points}
+import repro.core.GMM
 import repro.data.DataPoint
 
 /** 2-round MapReduce algorithm for k-center (Sec. 3.1).
@@ -61,13 +61,5 @@ object MRKCenter {
     val centers = GMM.run(union, k, math.floorMod(seed, union.length.toLong).toInt)
     val t2 = System.nanoTime()
     Result(centers, union.length, (t1 - t0) / 1000000, (t2 - t1) / 1000000)
-  }
-
-  /** Radius r_T(S) of the returned solution over the full dataset (the
-    * quantity Fig. 2 plots as a ratio to the best ever found).
-    */
-  def radius(ds: Dataset[DataPoint], centers: Array[Array[Double]]): Double = {
-    val bc = ds.sparkSession.sparkContext.broadcast(centers)
-    math.sqrt(ds.rdd.map(p => Points.sqDistToSet(p.vec, bc.value)).max())
   }
 }

@@ -1,7 +1,7 @@
 package repro.mr
 
 import org.apache.spark.sql.Dataset
-import repro.core.{GMM, Points, RadiusSearch, WeightedPoint}
+import repro.core.{GMM, RadiusSearch, WeightedPoint}
 import repro.data.DataPoint
 
 /** 2-round MapReduce algorithms for k-center with z outliers (Sec. 3.2 and
@@ -87,14 +87,5 @@ object MROutliers {
                     hatEps: Double = 0.05, seed: Long = 42L): Result = {
     val tau = mu * (k + (6 * z + ell - 1) / ell)
     run(ds, k, z, ell, FixedSize(tau), Partitioning.Random, hatEps, seed)
-  }
-
-  /** Objective value r_{T,Z_T}(S): max distance to centers after discarding
-    * the z farthest points — evaluated distributively.
-    */
-  def radiusWithOutliers(ds: Dataset[DataPoint], centers: Array[Array[Double]], z: Int): Double = {
-    val bc = ds.sparkSession.sparkContext.broadcast(centers)
-    val top = ds.rdd.map(p => Points.sqDistToSet(p.vec, bc.value)).top(z + 1)
-    if (top.isEmpty) 0.0 else math.sqrt(top.min)
   }
 }

@@ -169,6 +169,46 @@ class GMMSpec extends SparkSpec {
     assert(w.forall(_.weight == 100L))
   }
 
+  /** GMM and weighting on the plain kernel: every distance in full, strict
+    * `<`, first index on ties.
+    */
+  private def plainGMM(pts: Array[Array[Double]], tau: Int, first: Int): (Seq[Int], Seq[Double], Seq[Long]) = {
+    val sqd = Array.fill(pts.length)(Double.MaxValue)
+    val idx = scala.collection.mutable.ArrayBuffer[Int]()
+    val rad = scala.collection.mutable.ArrayBuffer[Double]()
+    var next = first
+    var r = 1.0
+    while (idx.length < math.min(tau, pts.length) && r > 0) {
+      idx += next
+      for (i <- pts.indices) sqd(i) = math.min(sqd(i), Points.sqDist(pts(i), pts(next)))
+      next = sqd.indices.maxBy(sqd) // first index on ties
+      r = math.sqrt(sqd(next))
+      rad += r
+    }
+    val w = new Array[Long](idx.length)
+    for (p <- pts) w(idx.indices.minBy(j => Points.sqDist(p, pts(idx(j))))) += 1L
+    (idx.toSeq, rad.toSeq, w.toSeq)
+  }
+
+  test("trace and weights equal the plain-kernel GMM on outlier- and duplicate-heavy inputs") {
+    TestData.forSeeds(4) { s =>
+      for (dim <- Seq(3, 7, 50)) {
+        val (blobs, _) = TestData.blobs(4, 60, dim, s, sep = 50.0, std = 1.0)
+        val outliers = TestData.uniform(40, dim, s + 1, box = 1e4)
+        val distinct = TestData.uniform(7, dim, s + 2)
+        val inputs = Seq("outliers" -> (blobs ++ outliers),
+                         "duplicates" -> (Array.tabulate(300)(i => distinct(i % 7)) ++ blobs.take(20)))
+        for ((name, pts) <- inputs; tau <- Seq(10, 60)) {
+          val first = math.floorMod(s, pts.length.toLong).toInt
+          val tr = GMM.coresetBySize(pts, tau, first)
+          val w = GMM.weigh(pts, tr.centers).map(_.weight).toSeq
+          val clue = s"seed=$s dim=$dim $name tau=$tau"
+          assert((tr.centerIdx.toSeq, tr.radiusAfter.toSeq, w) == plainGMM(pts, tau, first), clue)
+        }
+      }
+    }
+  }
+
   test("weigh assigns each point to its closest coreset point") {
     val pts = Array(Array(0.0), Array(0.1), Array(10.0), Array(10.2), Array(10.3))
     val core = Array(Array(0.0), Array(10.0))

@@ -110,23 +110,24 @@ class OutliersClusterSpec extends SparkSpec {
     intercept[IllegalArgumentException](OutliersCluster.run(t, 1, 1.0, -0.5))
   }
 
-  test("lazy-greedy selection matches a naive argmax reference implementation") {
-    // Reference: recompute every candidate's ball weight each iteration.
-    def naive(t: Array[WeightedPoint], k: Int, r: Double, eps: Double): Seq[Seq[Double]] = {
-      val innerSq = math.pow((1 + 2 * eps) * r, 2)
-      val outerSq = math.pow((3 + 4 * eps) * r, 2)
-      var unc = t.toSeq
-      val centers = scala.collection.mutable.ArrayBuffer[Array[Double]]()
-      while (centers.length < k && unc.nonEmpty) {
-        val best = t.minBy { c =>
-          (-unc.filter(u => Points.sqDist(c.vec, u.vec) <= innerSq).map(_.weight).sum,
-           t.indexOf(c))
-        }
-        centers += best.vec
-        unc = unc.filter(u => Points.sqDist(best.vec, u.vec) > outerSq)
+  /** Reference: recompute every candidate's ball weight each iteration. */
+  private def naive(t: Array[WeightedPoint], k: Int, r: Double, eps: Double): Seq[Seq[Double]] = {
+    val innerSq = { val d = (1 + 2 * eps) * r; d * d }
+    val outerSq = { val d = (3 + 4 * eps) * r; d * d }
+    var unc = t.toSeq
+    val centers = scala.collection.mutable.ArrayBuffer[Array[Double]]()
+    while (centers.length < k && unc.nonEmpty) {
+      val best = t.minBy { c =>
+        (-unc.filter(u => Points.sqDist(c.vec, u.vec) <= innerSq).map(_.weight).sum,
+         t.indexOf(c))
       }
-      centers.map(_.toSeq).toSeq
+      centers += best.vec
+      unc = unc.filter(u => Points.sqDist(best.vec, u.vec) > outerSq)
     }
+    centers.map(_.toSeq).toSeq
+  }
+
+  test("lazy-greedy selection matches a naive argmax reference implementation") {
     TestData.forSeeds(10) { s =>
       val t = TestData.uniform(25, 2, s).zipWithIndex.map { case (v, i) =>
         WeightedPoint(v, (i % 4) + 1L)
@@ -135,6 +136,33 @@ class OutliersClusterSpec extends SparkSpec {
         val mine = OutliersCluster.run(t, k, 1.2, 0.15).centers.map(_.toSeq).toSeq
         assert(mine == naive(t, k, 1.2, 0.15), s"seed=$s k=$k")
       }
+    }
+    // Clustered inputs, where candidates near a chosen center die, at the
+    // benchmark's eps-hat and at CharikarEtAl's eps-hat = 0.
+    val before = OutliersCluster.deadMarks.get
+    TestData.forSeeds(6) { s =>
+      val (pts, _) = TestData.blobs(8, 30, 3, s, sep = 30.0, std = 1.5)
+      val t = pts.zipWithIndex.map { case (v, i) => WeightedPoint(v, (i % 3) + 1L) }
+      for (eps <- Seq(0.05, 0.0); r <- Seq(1.0, 2.5); k <- Seq(4, t.length)) {
+        val mine = OutliersCluster.run(t, k, r, eps).centers.map(_.toSeq).toSeq
+        assert(mine == naive(t, k, r, eps), s"seed=$s eps=$eps r=$r k=$k")
+      }
+    }
+    assert(OutliersCluster.deadMarks.get > before, "the dead-candidate rule never fired")
+  }
+
+  test("dead-candidate rule stays off where squared thresholds are below 2^-900") {
+    // At coordinate scales of 1e-150 and below, squared distances are tiny or
+    // subnormal and their rounding could exceed the rule's margin.
+    for (scale <- Seq(1e-150, 1e-160, 1e-170)) {
+      val (pts, _) = TestData.blobs(8, 30, 3, 2L, sep = 30.0, std = 1.5)
+      val t = pts.zipWithIndex.map { case (v, i) => WeightedPoint(v.map(_ * scale), (i % 3) + 1L) }
+      val before = OutliersCluster.deadMarks.get
+      for (eps <- Seq(0.05, 0.0); k <- Seq(4, t.length)) {
+        val mine = OutliersCluster.run(t, k, 2.5 * scale, eps).centers.map(_.toSeq).toSeq
+        assert(mine == naive(t, k, 2.5 * scale, eps), s"scale=$scale eps=$eps k=$k")
+      }
+      assert(OutliersCluster.deadMarks.get == before, s"scale=$scale")
     }
   }
 
@@ -172,6 +200,15 @@ class OutliersClusterSpec extends SparkSpec {
       val heavy = Array(1L, 1000000L, 1000000000000L, 7L)
       val t = TestData.uniform(40, 2, s).zipWithIndex.map { case (v, i) => WeightedPoint(v, heavy(i % 4)) }
       checkBallWeights(t, Array(0.25, 2.0, 9.0, 9.0, 200.0), s"seed=$s")
+    }
+  }
+
+  test("ballWeights equals brute force at |T| in {1, 2, 3, 5, 97}") {
+    // Fewer rows than worker threads leaves some workers idle.
+    for (n <- Seq(1, 2, 3, 5, 97)) {
+      val t = TestData.uniform(n, 4, n.toLong).zipWithIndex.map { case (v, i) => WeightedPoint(v, (i % 7) + 1L) }
+      val pair = if (n > 1) Seq(Points.sqDist(t(0).vec, t(n - 1).vec)) else Nil
+      checkBallWeights(t, (Seq(0.0, 4.0, 30.0, 1e4) ++ pair).sorted.toArray, s"n=$n")
     }
   }
 

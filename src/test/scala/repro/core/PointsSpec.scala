@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestData}
 
 class PointsSpec extends SparkSpec {
@@ -33,6 +35,34 @@ class PointsSpec extends SparkSpec {
       val Array(a, b, c) = TestData.uniform(3, 6, s)
       assert(Points.dist(a, c) <= Points.dist(a, b) + Points.dist(b, c) + 1e-12)
     }
+  }
+
+  test("sqDistWithin is > limit iff sqDist is, and equals sqDist otherwise (property)") {
+    // Limits: 0, ∞, random, sqDist itself and its neighbours, and a prefix
+    // sum of sqDist's terms (the early exit compares block-end prefixes).
+    val gen = for {
+      dim <- Gen.oneOf((1 to 17) :+ 50)
+      scale <- Gen.oneOf(1.0, 1e-3, 1e6)
+      a <- Gen.listOfN(dim, Gen.choose(-scale, scale))
+      b <- Gen.listOfN(dim, Gen.oneOf(Gen.choose(-scale, scale), Gen.const(0.0)))
+      cut <- Gen.choose(0, dim)
+      pick <- Gen.choose(0, 6)
+      u <- Gen.choose(0.0, 2.0)
+    } yield {
+      val (av, bv) = (a.toArray, b.toArray)
+      val full = Points.sqDist(av, bv)
+      val prefix = Points.sqDist(av.take(cut), bv)
+      val limit = Seq(0.0, Double.PositiveInfinity, u * full, full, math.nextDown(full),
+                      math.nextUp(full), prefix)(pick)
+      (av, bv, limit)
+    }
+    val prop = Prop.forAll(gen) { case (a, b, limit) =>
+      val full = Points.sqDist(a, b)
+      val got = Points.sqDistWithin(a, b, limit)
+      (got > limit) == (full > limit) && (got > limit || java.lang.Double.compare(got, full) == 0)
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(5L)), prop)
+    assert(res.passed, res.status)
   }
 
   test("distToSet is the min over centers") {

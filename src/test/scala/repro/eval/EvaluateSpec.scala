@@ -100,6 +100,40 @@ class EvaluateSpec extends SparkSpec {
     }
   }
 
+  /** Empty, longer, shorter and non-finite centers for 3-d data. */
+  private val badCenters: Seq[Array[Array[Double]]] = Seq(
+    Array.empty[Array[Double]],
+    Array(Array(1.0, 2.0, 3.0), Array(1.0, 2.0, 3.0, 4.0)),
+    Array(Array(1.0, 2.0)),
+    Array(Array(1.0, Double.NaN, 3.0)),
+    Array(Array(0.0, 0.0, 0.0), Array(Double.PositiveInfinity, 0.0, 0.0)),
+  )
+
+  private def pointsDS(pts: Array[Array[Double]]) = {
+    import spark.implicits._
+    spark.createDataset(pts.toSeq.zipWithIndex.map { case (v, i) => DataPoint(i.toLong, v, isOutlier = false) })
+  }
+
+  test("radiusDS rejects empty, mis-sized and non-finite centers") {
+    val ds = pointsDS(TestData.uniform(30, 3, 6L))
+    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusDS(ds, cs)))
+  }
+
+  test("radiusWithOutliersDS rejects empty, mis-sized and non-finite centers") {
+    val ds = pointsDS(TestData.uniform(30, 3, 6L))
+    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusWithOutliersDS(ds, cs, 2)))
+  }
+
+  test("radiusLocal rejects empty, mis-sized and non-finite centers") {
+    val pts = TestData.uniform(30, 3, 6L)
+    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusLocal(pts, cs)))
+  }
+
+  test("radiusWithOutliersLocal rejects empty, mis-sized and non-finite centers") {
+    val pts = TestData.uniform(30, 3, 6L)
+    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusWithOutliersLocal(pts, cs, 2)))
+  }
+
   test("bestByKey returns the per-key minimum") {
     val best = Evaluate.bestByKey(Seq("a" -> 3.0, "a" -> 1.5, "b" -> 2.0))
     assert(best == Map("a" -> 1.5, "b" -> 2.0))

@@ -28,7 +28,7 @@ class ExperimentsSmokeSpec extends SparkSpec {
   test("Fig. 4 harness covers det and randomized with sane ratios") {
     val rows = Fig4MROutliers.run(spark, cfg)
     assert(rows.size == cfg.specs.size * Fig4MROutliers.mus.size * 2)
-    assert(rows.forall(r => r.ratio >= 1.0 - 1e-9))
+    assert(rows.forall(r => r.ratio >= 1.0 - 1e-9 && r.cert >= 1.0 - 1e-9))
     assert(rows.map(_.algo).toSet == Set("deterministic", "randomized"))
     // Randomized coresets are smaller than deterministic at equal mu when
     // z >> k (the Sec. 3.2.1 point).
@@ -79,5 +79,14 @@ class ExperimentsSmokeSpec extends SparkSpec {
     assert(rows.count(_.algo == "MalkomesEtAl(mu=1)") == cfg.specs.size)
     assert(rows.forall(_.radius > 0))
     println(Fig8Sequential.render(rows))
+  }
+
+  test("certified ratio objective / optimumLowerBound is at least 1 on a small run") {
+    val one = cfg.copy(sizes = Map("higgsLike" -> 400))
+    val rows = Fig8Sequential.run(one, sampleN = 400)
+    assert(rows.size == 1 + Fig8Sequential.mus.size)
+    rows.foreach(r => assert(r.cert >= 1.0 - 1e-9, s"${r.algo} cert=${r.cert}"))
+    // A mu = 1 coreset has exactly k+z points, too few to certify anything.
+    rows.filterNot(_.algo.startsWith("Malkomes")).foreach(r => assert(r.cert.isFinite, r.algo))
   }
 }

@@ -85,7 +85,7 @@ class MRKCenterSpec extends SparkSpec {
     val pts = TestData.uniform(200, 3, 7L)
     val ds = toDS(pts)
     val centers = GMM.run(pts, 4)
-    val viaSpark = MRKCenter.radius(ds, centers)
+    val viaSpark = Evaluate.radiusDS(ds, centers)
     val local = Points.radius(pts, centers)
     assert(math.abs(viaSpark - local) < 1e-9)
   }

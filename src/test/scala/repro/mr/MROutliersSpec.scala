@@ -112,7 +112,7 @@ class MROutliersSpec extends SparkSpec {
     val ds = toDS(pts)
     val centers = pts.take(3)
     for (z <- Seq(0, 5, 20)) {
-      val viaSpark = MROutliers.radiusWithOutliers(ds, centers, z)
+      val viaSpark = Evaluate.radiusWithOutliersDS(ds, centers, z)
       val local = Points.radiusWithOutliers(pts, centers, z)
       assert(math.abs(viaSpark - local) < 1e-9, s"z=$z")
     }
