@@ -12,8 +12,14 @@ package repro.core
   */
 object SeqCoresetOutliers {
 
-  /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
-    * the radius search; see [[RadiusSearch.SearchResult]].
+  /** `probes` come from the radius search. `optimumLowerBound` ≤ r*_{k,z}(S)
+    * is the larger of the search's r_{k+z}(T)/2 (see
+    * [[RadiusSearch.SearchResult]]) and, when the round-1 trace over S has at
+    * least k+z centers, half its radius after k+z centers: those centers and
+    * the farthest point are k+z+1 points pairwise at least that far apart, at
+    * least k+1 of them are inliers, and two inliers share an optimal center.
+    * The second bound is what certifies μ = 1, whose coreset of k+z points
+    * gives the search none.
     */
   final case class Result(
       centers: Array[Array[Double]],
@@ -29,27 +35,28 @@ object SeqCoresetOutliers {
   def runFixedSize(points: Array[Array[Double]], k: Int, z: Int, tau: Int,
                    hatEps: Double = 0.05, seed: Long = 42L): Result = {
     val t0 = System.nanoTime()
-    val firstIdx = math.floorMod(seed, points.length.toLong).toInt
-    val trace = GMM.coresetBySize(points, tau, firstIdx)
-    val weighted = GMM.weigh(points, trace.centers)
-    val t1 = System.nanoTime()
-    val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
-    val t2 = System.nanoTime()
-    Result(sr.clustering.centers, sr.radius, weighted.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000, sr.probes, sr.optimumLowerBound)
+    solve(points, GMM.coresetBySize(points, tau, firstIndex(points, seed)), k, z, hatEps, seed, t0)
   }
 
   /** ε-driven variant (theory): stopping rule of Sec. 3.2 with base k+z. */
   def runByEpsilon(points: Array[Array[Double]], k: Int, z: Int,
                    hatEps: Double, seed: Long = 42L): Result = {
     val t0 = System.nanoTime()
-    val firstIdx = math.floorMod(seed, points.length.toLong).toInt
-    val trace = GMM.coresetByEpsilon(points, k + z, hatEps, firstIdx)
+    solve(points, GMM.coresetByEpsilon(points, k + z, hatEps, firstIndex(points, seed)), k, z, hatEps, seed, t0)
+  }
+
+  private def firstIndex(points: Array[Array[Double]], seed: Long): Int =
+    math.floorMod(seed, points.length.toLong).toInt
+
+  /** Weighs the round-1 `trace` (started at `t0`) and runs the radius search on it. */
+  private def solve(points: Array[Array[Double]], trace: GMM.Trace, k: Int, z: Int,
+                    hatEps: Double, seed: Long, t0: Long): Result = {
     val weighted = GMM.weigh(points, trace.centers)
     val t1 = System.nanoTime()
     val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()
-    Result(sr.clustering.centers, sr.radius, weighted.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000, sr.probes, sr.optimumLowerBound)
+    val traceBound = if (trace.size >= k + z) trace.radiusAfter(k + z - 1) / 2 else 0.0
+    Result(sr.clustering.centers, sr.radius, weighted.length, (t1 - t0) / 1000000, (t2 - t1) / 1000000,
+           sr.probes, math.max(sr.optimumLowerBound, traceBound))
   }
 }

@@ -102,9 +102,6 @@ object Datasets {
     Mixture(centers, sigmas, superCenters)
   }
 
-  /** Convenience: just the sub-cluster centers of the mixture. */
-  def clusterCenters(spec: Spec, seed: Long): Array[Array[Double]] = mixture(spec, seed).centers
-
   /** Consecutive ids sharing a block draw from the same sub-cluster: real
     * datasets are order-correlated (Power is a literal time series; Higgs
     * and the Wiki dump are grouped by production process / article), and the

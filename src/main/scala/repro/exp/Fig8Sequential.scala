@@ -13,9 +13,10 @@ import repro.eval.Evaluate
   */
 object Fig8Sequential {
 
-  /** `cert` is the mean over repetitions of radius / optimumLowerBound from
-    * the run's radius search, an upper bound on its approximation ratio; ∞ at
-    * μ = 1, whose coreset of k+z points certifies no lower bound.
+  /** `cert` is the mean over repetitions of radius / optimumLowerBound, an
+    * upper bound on the run's approximation ratio. The bound comes from the
+    * run's radius search, and for the coreset runs (μ = 1 too) also from
+    * their round-1 GMM trace over the whole sample.
     */
   final case class Row(dataset: String, algo: String, timeMs: Long, radius: Double, cert: Double)
 

@@ -32,12 +32,29 @@ import scala.collection.mutable.ArrayBuffer
   * sums, one coordinate at a time in [[Points.sqDist]]'s order, so they are
   * bit-identical to it while four add chains run at once. The running
   * minimum is taken with strict `<` (first index on ties) until it drops to
-  * the exit bound. Weighted, the bound is 2φ: by invariant (b) every other
-  * center is then more than 2φ away, so that center is the unique closest.
-  * When `weighted = false` (the k-center-without-outliers use, where weights
-  * are never read) the bound is 8φ, so the scan stops at the first center
-  * within 8φ — the same center set, as the proxy need not be the closest
-  * center.
+  * (8φ)², which in both modes yields the anchor a: the first center within
+  * 8φ. When `weighted = false` (the k-center-without-outliers use, where
+  * weights are never read) the anchor absorbs the point, as the proxy need
+  * not be the closest center. Weighted, an anchor within 2φ·(1−1e-9) is the
+  * unique closest center by invariant (b). Otherwise the search walks the
+  * centers' neighbour lists: each center keeps the centers within
+  * 16φ·(1+1e-6) of it, sorted by (distance, index). The closest center c has
+  * d(p, c) ≤ d(p, a) ≤ 8φ, so d(a, c) ≤ d(p, a) + d(p, c) ≤ 2·d(p, a) ≤ 16φ
+  * and c is in a's list. The walk scans a's list while
+  * d(a, x) ≤ 2·d(p, a)·(1+1e-9). A center closer to p than a becomes the
+  * anchor, and the scan restarts on its list with its own, smaller reach
+  * (the navigating-nets descent of Krauthgamer and Lee); a center as close
+  * as the best but of lower index replaces it. The walk stops at the end of
+  * the reach or at a center within 2φ. Distances are [[Points.sqDistWithin]]
+  * bounded by the best so far, equal to the tile sums whenever they can win,
+  * so the answer is the lowest-index closest center, as a full scan would
+  * give. Centers are > 4φ apart, so a list holds 2^O(D) centers in doubling
+  * dimension D. Upkeep: a new center is linked to the others with O(|T|)
+  * distances, and every merge pass rebuilds the lists from the distances it
+  * computes anyway (see [[mergeRule]]), adding only the sorted inserts. The
+  * lists are kept only while (2φ)² ≥ dim·2^-1042: below that, the subnormal
+  * roundings of a squared distance (at most dim·2^-1074 in all) could
+  * exceed the margins, and the weighted scan runs to the 2φ exit instead.
   *
   * Points must have the first point's dimension and finite coordinates.
   */
@@ -56,6 +73,21 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
   private[streaming] var mergePasses = 0
   /** Tiled mirror of `vecs`: coordinate c of center i at (i/4)·4·dim + 4c + i mod 4. */
   private var cm: Array[Double] = _
+  /** Neighbour lists, kept while `useLists`: the first `nbrLen(i)` entries of
+    * `nbrIds(i)` are the centers within 16φ·(1+1e-6) of center i, sorted by
+    * (squared distance `nbrSq(i)`, index).
+    */
+  private val nbrIds = Array.fill(cap)(Array.emptyIntArray)
+  private val nbrSq  = Array.fill(cap)(Array.emptyDoubleArray)
+  private val nbrLen = new Array[Int](cap)
+  private var listSq = 0.0
+  private var useLists = false
+  /** Scratch: the centers before some center that are within the list radius of it. */
+  private val nearIds = new Array[Int](cap)
+  private val nearSq  = new Array[Double](cap)
+  /** Points refined through a neighbour list, and list entries visited (for tests). */
+  private[streaming] var refined = 0L
+  private[streaming] var listVisits = 0L
 
   /** Current lower bound φ (0 while still buffering the first τ+1 points). */
   def phi: Double = phiV
@@ -88,13 +120,18 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
     * center within 4φ of an earlier surviving center (transferring weight —
     * conceptually re-pointing the proxy function). Returns the smallest
     * squared distance it compared; when nothing merged, every pair was
-    * compared and this is the closest pair's.
+    * compared and this is the closest pair's. A surviving center has been
+    * compared with every earlier survivor, so the pass also rebuilds the
+    * neighbour lists from the distances it computes.
     */
   private def mergeRule(): Double = {
     mergePasses += 1
     phiV *= 2.0
     val sep = 4.0 * phiV
     val sepSq = sep * sep
+    val r = 16.0 * phiV * (1 + 1e-6)
+    listSq = r * r
+    useLists = weighted && { val s = 2.0 * phiV; s * s } >= dim * Math.scalb(1.0, -1042)
     var minSq = Double.PositiveInfinity
     val nv = new ArrayBuffer[Array[Double]](vecs.length)
     val nw = new ArrayBuffer[Long](ws.length)
@@ -102,14 +139,20 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
     while (i < vecs.length) {
       val v = vecs(i)
       var merged = false
+      var near = 0
       var j = 0
       while (!merged && j < nv.length) {
         val d = Points.sqDist(v, nv(j))
         if (d < minSq) minSq = d
         if (d <= sepSq) { nw(j) += ws(i); merged = true }
+        else if (useLists && d <= listSq) { nearIds(near) = j; nearSq(near) = d; near += 1 }
         j += 1
       }
-      if (!merged) { nv += v; nw += ws(i) }
+      if (!merged) {
+        if (useLists) link(nv.length, near)
+        nv += v
+        nw += ws(i)
+      }
       i += 1
     }
     vecs = nv
@@ -136,20 +179,66 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
     }
   }
 
+  /** Inserts center j, at squared distance d, into center i's list, after
+    * the entries at distance ≤ d; j must exceed every index in the list.
+    */
+  private def insert(i: Int, j: Int, d: Double): Unit = {
+    var n = nbrLen(i)
+    if (n == nbrIds(i).length) {
+      val m = math.max(8, 2 * n)
+      nbrIds(i) = java.util.Arrays.copyOf(nbrIds(i), m)
+      nbrSq(i) = java.util.Arrays.copyOf(nbrSq(i), m)
+    }
+    val ids = nbrIds(i)
+    val sqs = nbrSq(i)
+    nbrLen(i) = n + 1
+    while (n > 0 && sqs(n - 1) > d) { ids(n) = ids(n - 1); sqs(n) = sqs(n - 1); n -= 1 }
+    ids(n) = j
+    sqs(n) = d
+  }
+
+  /** Starts center j's list with the first `near` entries of `nearIds` and
+    * `nearSq` (centers before j), and adds j to their lists.
+    */
+  private def link(j: Int, near: Int): Unit = {
+    nbrLen(j) = 0
+    var k = 0
+    while (k < near) {
+      insert(nearIds(k), j, nearSq(k))
+      insert(j, nearIds(k), nearSq(k))
+      k += 1
+    }
+  }
+
+  /** Links the newest center with every center before it: O(|T|) distances. */
+  private def linkNewest(): Unit = {
+    val j = vecs.length - 1
+    val v = vecs(j)
+    var near = 0
+    var i = 0
+    while (i < j) {
+      val d = Points.sqDistWithin(v, vecs(i), listSq)
+      if (d <= listSq) { nearIds(near) = i; nearSq(near) = d; near += 1 }
+      i += 1
+    }
+    link(j, near)
+  }
+
   /** Index of the center that absorbs `p`, or -1 when every center is
     * farther than 8φ: the closest center when weighted, else the first one
     * within 8φ.
     */
   private def absorber(p: Array[Double]): Int = {
     val limSq = { val d = 8.0 * phiV; d * d }
-    val stopSq = if (weighted) { val d = 2.0 * phiV; d * d * (1 - 1e-9) } else limSq
+    val stopSq = { val d = 2.0 * phiV; d * d * (1 - 1e-9) }
+    val exitSq = if (weighted && !useLists) stopSq else limSq
     val n = vecs.length
     val cm = this.cm
     var best = Double.MaxValue
     var bi = -1
     var b = 0 // first center of the tile
     var o = 0 // offset of the tile in cm
-    while (b < n && best > stopSq) {
+    while (b < n && best > exitSq) {
       var a0 = 0.0; var a1 = 0.0; var a2 = 0.0; var a3 = 0.0
       var c = 0
       while (c < dim) {
@@ -163,12 +252,47 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
       }
       // Lanes at or past n hold stale coordinates and are skipped.
       if (a0 < best) { best = a0; bi = b }
-      if (b + 1 < n && best > stopSq && a1 < best) { best = a1; bi = b + 1 }
-      if (b + 2 < n && best > stopSq && a2 < best) { best = a2; bi = b + 2 }
-      if (b + 3 < n && best > stopSq && a3 < best) { best = a3; bi = b + 3 }
+      if (b + 1 < n && best > exitSq && a1 < best) { best = a1; bi = b + 1 }
+      if (b + 2 < n && best > exitSq && a2 < best) { best = a2; bi = b + 2 }
+      if (b + 3 < n && best > exitSq && a3 < best) { best = a3; bi = b + 3 }
       b += 4
     }
-    if (best <= limSq) bi else -1
+    if (best > limSq) -1
+    else if (!useLists || best <= stopSq) bi
+    else refine(p, bi, best, stopSq)
+  }
+
+  /** The lowest-index closest center to `p`, found by walking the
+    * neighbour lists from the anchor `a` at squared distance `da` (see the
+    * class comment).
+    */
+  private def refine(p: Array[Double], a: Int, da: Double, stopSq: Double): Int = {
+    var ids = nbrIds(a)
+    var sqs = nbrSq(a)
+    var len = nbrLen(a)
+    var reachSq = { val r = 2.0 * math.sqrt(da) * (1 + 1e-9); r * r }
+    var best = da
+    var bi = a
+    var e = 0
+    var visits = 0L
+    while (e < len && sqs(e) <= reachSq && best > stopSq) {
+      val x = ids(e)
+      val d = Points.sqDistWithin(p, vecs(x), best)
+      e += 1
+      if (d < best) { // x becomes the anchor
+        best = d
+        bi = x
+        ids = nbrIds(x)
+        sqs = nbrSq(x)
+        len = nbrLen(x)
+        reachSq = { val r = 2.0 * math.sqrt(d) * (1 + 1e-9); r * r }
+        visits += e
+        e = 0
+      } else if (d == best && x < bi) bi = x
+    }
+    refined += 1
+    listVisits += visits + e
+    bi
   }
 
   def update(p: Array[Double]): Unit = {
@@ -196,7 +320,8 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
       vecs += p
       ws += 1L
       mirror(vecs.length - 1)
-      while (vecs.length > tau) growUntilMerge()
+      if (vecs.length > tau) { while (vecs.length > tau) growUntilMerge() }
+      else if (useLists) linkNewest()
     }
   }
 

@@ -60,6 +60,20 @@ class SeqCoresetOutliersSpec extends SparkSpec {
     }
   }
 
+  test("a coreset of exactly k+z points still certifies a lower bound on r*_{k,z} (round-1 trace)") {
+    TestData.forSeeds(6) { s =>
+      val pts = TestData.uniform(12, 2, s)
+      for ((k, z) <- Seq((2, 2), (1, 3), (3, 1))) {
+        val opt = ExactKCenter.optimalRadiusWithOutliers(pts, k, z)
+        val fixed = SeqCoresetOutliers.runFixedSize(pts, k, z, tau = k + z, seed = s)
+        assert(fixed.coresetSize == k + z)
+        for (res <- Seq(fixed, SeqCoresetOutliers.runByEpsilon(pts, k, z, hatEps = 1.0, seed = s)))
+          assert(res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12,
+                 s"seed=$s k=$k z=$z bound=${res.optimumLowerBound} opt=$opt")
+      }
+    }
+  }
+
   test("timings are recorded") {
     val pts = TestData.uniform(100, 2, 4L)
     val res = SeqCoresetOutliers.runFixedSize(pts, 2, 3, tau = 20)

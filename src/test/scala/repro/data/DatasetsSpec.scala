@@ -27,7 +27,7 @@ class DatasetsSpec extends SparkSpec {
   test("points cluster around the mixture centers (modulo background noise)") {
     val spec = Datasets.higgsLike
     val pts = Datasets.localPoints(spec, 500, 2L)
-    val centers = Datasets.clusterCenters(spec, 2L)
+    val centers = Datasets.mixture(spec, 2L).centers
     // Non-noise points sit within a few sigmas of some center; allow the
     // noiseFrac background plus Gaussian tails.
     val lim = spec.sigmaMax * 5 * math.sqrt(spec.dim.toDouble)

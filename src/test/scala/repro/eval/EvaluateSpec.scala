@@ -6,9 +6,11 @@ import repro.data.DataPoint
 import repro.mr.MROutliers
 import repro.{Oracle, SparkSpec, TestData}
 
-/** Cross-checks the radius-evaluation queries against DuckDB via the Oracle:
-  * a broken distance kernel or a wrong aggregation shows up as a result
-  * mismatch, not just "it ran".
+/** Checks `Evaluate`'s radius functions (maps over the RDD) against a Spark
+  * SQL radius and locally computed distances, and checks that SQL and two
+  * other queries written here against DuckDB via the Oracle: a broken
+  * distance kernel or a wrong aggregation shows up as a result mismatch, not
+  * just "it ran".
   */
 class EvaluateSpec extends SparkSpec {
 

@@ -86,7 +86,6 @@ class ExperimentsSmokeSpec extends SparkSpec {
     val rows = Fig8Sequential.run(one, sampleN = 400)
     assert(rows.size == 1 + Fig8Sequential.mus.size)
     rows.foreach(r => assert(r.cert >= 1.0 - 1e-9, s"${r.algo} cert=${r.cert}"))
-    // A mu = 1 coreset has exactly k+z points, too few to certify anything.
-    rows.filterNot(_.algo.startsWith("Malkomes")).foreach(r => assert(r.cert.isFinite, r.algo))
+    rows.foreach(r => assert(r.cert.isFinite, r.algo))
   }
 }

@@ -6,7 +6,7 @@ import repro.{SparkSpec, TestData}
 import scala.collection.mutable.ArrayBuffer
 
 class DoublingCoresetSpec extends SparkSpec {
-  import DoublingCoresetSpec.ScalarDoubling
+  import DoublingCoresetSpec.{RefineCases, ScalarDoubling}
 
   /** Streams `pts` through the tiled-scan coreset and the scalar reference
     * and asserts identical centers (in order), weights, φ and point counts.
@@ -67,6 +67,100 @@ class DoublingCoresetSpec extends SparkSpec {
     val dupPrefix = Array.fill(100)(Array(1.0, 2.0, 3.0)) ++ pts
     for (weighted <- Seq(true, false))
       assertMatchesReference(dupPrefix, 30, weighted, s"duplicate prefix weighted=$weighted")
+  }
+
+  /** Streams `pts` through the weighted coreset and the scalar reference,
+    * asserting identical centers, weights and φ after every point, and
+    * classifies the absorbed points as in [[RefineCases]].
+    */
+  private def walkAgainstReference(pts: Array[Array[Double]], tau: Int, what: String): (RefineCases, DoublingCoreset) = {
+    val dc = new DoublingCoreset(tau)
+    val ref = new ScalarDoubling(tau, weighted = true)
+    var (away, ties, linked, afterMerge) = (0, 0, 0, 0)
+    var phiInit = 0.0
+    val fresh = ArrayBuffer[Array[Double]]()
+    pts.indices.foreach { t =>
+      val p = pts(t)
+      val before = dc.result().map(_.vec)
+      val phi = dc.phi
+      dc.update(p); ref.update(p)
+      val (got, want) = (dc.result(), ref.result())
+      assert(got.length == want.length && dc.phi == ref.phi, s"$what: point $t")
+      got.indices.foreach { i =>
+        assert(got(i).vec eq want(i).vec, s"$what: point $t, center $i")
+        assert(got(i).weight == want(i).weight, s"$what: point $t, weight of center $i")
+      }
+      if (phi == 0.0) phiInit = dc.phi
+      else if (dc.phi != phi) fresh.clear()
+      else if (got.length > before.length) fresh += p
+      else {
+        val sq = before.map(Points.sqDist(p, _))
+        val anchor = sq.indexWhere(_ <= { val d = 8 * phi; d * d })
+        val closest = Points.closestIndex(p, before)
+        if (closest != anchor) {
+          away += 1
+          if (sq.count(_ == sq(closest)) > 1) ties += 1
+          if (fresh.exists(_ eq before(closest))) linked += 1
+          if (phi > phiInit) afterMerge += 1
+        }
+      }
+    }
+    (RefineCases(away, ties, linked, afterMerge), dc)
+  }
+
+  test("neighbour-list refine equals the scalar reference after every point (ties, linked centers, rebuilds)") {
+    val rnd = new scala.util.Random(11L)
+    // Integer lattices: squared distances are exact integers, so ties abound.
+    for ((dim, side, tau) <- Seq((2, 40, 30), (2, 60, 70), (3, 12, 60))) {
+      val pts = Array.fill(6000)(Array.fill(dim)(rnd.nextInt(side).toDouble))
+      val what = s"lattice dim=$dim side=$side tau=$tau"
+      val (cases, _) = walkAgainstReference(pts, tau, what)
+      assert(cases.ties > 0 && cases.linked > 0 && cases.afterMerge > 0, s"$what: $cases")
+    }
+    val (cases, _) = walkAgainstReference(Datasets.localPoints(Datasets.higgsLike, 8000, 7L), 150, "higgsLike")
+    assert(cases.linked > 0 && cases.afterMerge > 0, s"higgsLike: $cases")
+  }
+
+  test("neighbour-list refine equals the scalar reference (50-d, coordinate scales 1e-150 to 1e150)") {
+    val (wiki, dcWiki) = walkAgainstReference(Datasets.localPoints(Datasets.wikiLike, 4000, 3L), 200, "wikiLike")
+    assert(wiki.away > 0 && dcWiki.refined > 0, s"wikiLike: $wiki")
+    val higgs = Datasets.localPoints(Datasets.higgsLike, 5000, 4L)
+    for (scale <- Seq(1e-150, 1e150)) {
+      val (cases, dc) = walkAgainstReference(higgs.map(_.map(_ * scale)), 120, s"scale $scale")
+      assert(cases.away > 0 && dc.refined > 0, s"scale $scale: $cases")
+    }
+    // At 1e-160 squared distances are subnormal, too coarse for the walk's
+    // margins (through the lists this lattice goes to a wrong center): the
+    // lists stay off and the weighted scan runs to the 2φ exit.
+    val rnd = new scala.util.Random(1L)
+    val lattice = Array.fill(3000)(Array.fill(2)(rnd.nextInt(50) * 1e-160))
+    for ((pts, tau, what) <- Seq((lattice, 30, "lattice"), (higgs.map(_.map(_ * 1e-160)), 120, "higgsLike"))) {
+      val (_, tiny) = walkAgainstReference(pts, tau, s"$what at scale 1e-160")
+      assert(tiny.refined == 0, what)
+    }
+  }
+
+  test("lists stay off while phi is near Double.MIN_NORMAL and start after the first merge (duplicate-heavy prefix)") {
+    val tau = 40
+    val pts = Array.fill(tau + 1)(Array(3.0, 1.0, 2.0)) ++ Datasets.localPoints(Datasets.higgsLike, 5000, 9L).map(_.take(3))
+    val dc = new DoublingCoreset(tau)
+    pts.take(tau + 1).foreach(dc.update)
+    // φ₀ = MIN_NORMAL, doubled once by the merge that ends initialization.
+    assert(dc.phi == 2 * java.lang.Double.MIN_NORMAL)
+    var t = tau + 1
+    while (dc.phi < 1e-300) { dc.update(pts(t)); t += 1 }
+    assert(dc.refined == 0 && t > tau + 2)
+    val (cases, after) = walkAgainstReference(pts, tau, "duplicate prefix")
+    assert(after.phi > 1e-3 && after.refined > 0 && cases.afterMerge > 0, s"$cases")
+  }
+
+  test("the refine visits fewer than half the centers per refined point (clustered 7-d stream)") {
+    val dc = new DoublingCoreset(440)
+    val pts = Datasets.localPoints(Datasets.higgsLike, 60000, 12L)
+    pts.foreach(dc.update)
+    assert(dc.refined > pts.length / 4, s"${dc.refined} refined")
+    val perPoint = dc.listVisits.toDouble / dc.refined
+    assert(perPoint < dc.size / 2.0, s"$perPoint list entries per refined point, ${dc.size} centers")
   }
 
   test("every absorbed point goes to its brute-force closest center") {
@@ -237,6 +331,14 @@ class DoublingCoresetSpec extends SparkSpec {
 }
 
 object DoublingCoresetSpec {
+
+  /** Absorbed points whose lowest-index closest center is not their anchor
+    * (the first center within 8φ), so the neighbour-list walk had to find
+    * it; and among those, the ones with a tie for closest, the ones whose
+    * center was linked after the last change of φ, and the ones after a merge
+    * event mid-stream (so in lists rebuilt after a merge).
+    */
+  final case class RefineCases(away: Int, ties: Int, linked: Int, afterMerge: Int)
 
   /** Reference: the doubling coreset with a scalar nearest-center scan over
     * the centers and one-step-at-a-time doubling.
