@@ -12,18 +12,43 @@ package repro.core
   * classic "maintain d(s, T) per point" incremental update; each evaluation
   * stops once it exceeds the point's current d(s, T)²
   * ([[Points.sqDistWithin]]).
+  *
+  * Weights as it goes. Next to d(s, T)² the traversal keeps a(s), the index
+  * of s's closest center so far. Both change only on a strict `<`, so a tie
+  * keeps the earlier center, as [[Points.closestIndex]] does; the trace's
+  * weights (the histogram of a) therefore equal [[weigh]] on its centers.
+  *
+  * Triangle pruning (Elkan, ICML 2003). When center c_j is added, point s
+  * first compares d(c_j, c_a(s))² with 4·d(s, T)²·(1+1e-9). If it is at least
+  * that, then d(c_j, c_a(s)) ≥ 2·d(s, c_a(s)) and
+  * d(s, c_j) ≥ d(c_j, c_a(s)) − d(s, c_a(s)) ≥ d(s, c_a(s)), so the update of s
+  * could not change anything and is skipped. Each center-to-center distance
+  * is computed once per step, when a point first needs it: at most j per
+  * step, and none for a center that proxies only itself (its own distance 0
+  * switches the test off). At coreset sizes near |S| most centers are such,
+  * and computing all j distances per step cost more than the updates saved
+  * (Fig. 7's ℓ = 1, 2 rows on wikiLike). The relative margin is far
+  * above the rounding error of a squared distance; it stops covering that
+  * error only among subnormal terms, so the rule is off for a point once
+  * 4·d(s, T)² < 2⁻⁹⁰⁰, as OutliersCluster's dead-candidate rule is.
   */
 object GMM {
 
   /** Full trace of an incremental run: the selected center indices (into the
-    * input array) in selection order, and `radiusAfter(j)` = r_{T^{j+1}}(S),
-    * the radius after the first j+1 centers. Radii are non-increasing.
+    * input array) in selection order, `radiusAfter(j)` = r_{T^{j+1}}(S),
+    * the radius after the first j+1 centers (non-increasing), and
+    * `weights(j)` = |{s : c_j is the first of s's closest centers}|, which
+    * sums to |S|.
     */
-  final case class Trace(points: Array[Array[Double]], centerIdx: Array[Int], radiusAfter: Array[Double]) {
+  final case class Trace(points: Array[Array[Double]], centerIdx: Array[Int], radiusAfter: Array[Double],
+                         weights: Array[Long]) {
     def centers: Array[Array[Double]] = centerIdx.map(points)
     def size: Int = centerIdx.length
     /** Centers of the prefix of length j (the paper's T^j). */
     def prefix(j: Int): Array[Array[Double]] = centerIdx.take(j).map(points)
+    /** The centers with their proxy weights (Sec. 3.2). */
+    def weighted: Array[WeightedPoint] =
+      Array.tabulate(size)(j => WeightedPoint(points(centerIdx(j)), weights(j)))
   }
 
   /** Run GMM until `stop(iterationsDone, radiusSoFar)` returns true or the
@@ -39,20 +64,46 @@ object GMM {
     Points.requireUniform(points, "GMM input")
     val n = points.length
     val sqd = Array.fill(n)(Double.MaxValue)
-    val idxBuf = new scala.collection.mutable.ArrayBuffer[Int]
+    val near = new Array[Int](n)
+    var centerIdx = new Array[Int](16)
+    var size = 0
     val radBuf = new scala.collection.mutable.ArrayBuffer[Double]
+    // toCenter(m) = d(c_j, c_m)², computed on demand: valid when stamp(m) == j.
+    var toCenter = new Array[Double](16)
+    var stamp = Array.fill(16)(-1)
+    var skipped = 0L
     var next = firstIdx % n
     var continue = true
     while (continue) {
       val c = points(next)
-      idxBuf += next
+      val j = size
+      if (j == centerIdx.length) {
+        centerIdx = java.util.Arrays.copyOf(centerIdx, 2 * j)
+        toCenter = java.util.Arrays.copyOf(toCenter, 2 * j)
+        stamp = java.util.Arrays.copyOf(stamp, 2 * j)
+        java.util.Arrays.fill(stamp, j, 2 * j, -1)
+      }
+      centerIdx(j) = next
+      size += 1
       // Update per-point distance-to-centers and find the new farthest point.
       var worst = -1.0
       var worstIdx = 0
       var i = 0
       while (i < n) {
-        val d = Points.sqDistWithin(points(i), c, sqd(i))
-        if (d < sqd(i)) sqd(i) = d
+        val s = sqd(i)
+        // j = 0: s = MaxValue makes the limit ∞, and d(c_0, c_0)² = 0 never reaches it.
+        val limit = 4.0 * s * (1.0 + PruneMargin)
+        var skip = false
+        if (limit >= MinPruneSq) {
+          val a = near(i)
+          if (stamp(a) != j) { toCenter(a) = Points.sqDist(c, points(centerIdx(a))); stamp(a) = j }
+          skip = toCenter(a) >= limit
+        }
+        if (skip) skipped += 1
+        else {
+          val d = Points.sqDistWithin(points(i), c, s)
+          if (d < s) { sqd(i) = d; near(i) = j }
+        }
         if (sqd(i) > worst) { worst = sqd(i); worstIdx = i }
         i += 1
       }
@@ -60,10 +111,27 @@ object GMM {
       radBuf += r
       next = worstIdx
       // Radius 0: every remaining point duplicates a center.
-      continue = idxBuf.length < n && r > 0 && !stop(idxBuf.length, r)
+      continue = size < n && r > 0 && !stop(size, r)
     }
-    Trace(points, idxBuf.toArray, radBuf.toArray)
+    prunedUpdates.addAndGet(skipped)
+    val weights = new Array[Long](size)
+    var i = 0
+    while (i < n) { weights(near(i)) += 1L; i += 1 }
+    Trace(points, java.util.Arrays.copyOf(centerIdx, size), radBuf.toArray, weights)
   }
+
+  /** Relative margin of the pruning test, far above the rounding error of a
+    * squared distance.
+    */
+  private val PruneMargin = 1e-9
+
+  /** Below this squared threshold subnormal terms could exceed the margin,
+    * so the pruning rule is off.
+    */
+  private val MinPruneSq = java.lang.Math.scalb(1.0, -900)
+
+  /** Point updates skipped by the triangle rule since start-up, for tests. */
+  private[core] val prunedUpdates = new java.util.concurrent.atomic.AtomicLong
 
   /** Plain GMM: k centers (or all points if |S| < k). */
   def run(points: Array[Array[Double]], k: Int, firstIdx: Int = 0): Array[Array[Double]] =
@@ -86,9 +154,10 @@ object GMM {
   def coresetBySize(points: Array[Array[Double]], tau: Int, firstIdx: Int = 0): Trace =
     runWhile(points, firstIdx)((done, _) => done >= tau)
 
-  /** Attach proxy weights to a coreset: w_t = |{s : p(s) = t}| where p maps
-    * each input point to its closest coreset point (Sec. 3.2). Weights sum
-    * to |S| by construction.
+  /** Attach proxy weights to any coreset: w_t = |{s : p(s) = t}| where p maps
+    * each input point to its closest coreset point, the first on ties
+    * (Sec. 3.2). Weights sum to |S| by construction. A GMM trace carries
+    * these weights for its own centers already ([[Trace.weighted]]).
     */
   def weigh(points: Array[Array[Double]], coreset: Array[Array[Double]]): Array[WeightedPoint] = {
     val w = new Array[Long](coreset.length)

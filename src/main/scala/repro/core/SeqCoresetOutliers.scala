@@ -2,8 +2,8 @@ package repro.core
 
 /** The paper's "improved sequential algorithm" (end of Sec. 3.2): the 2-round
   * MapReduce algorithm for k-center with z outliers run at ℓ = 1, entirely in
-  * memory — build one GMM coreset of the whole input, weigh it, and run the
-  * radius search + OutliersCluster on the coreset.
+  * memory — build one weighted GMM coreset of the whole input (the trace
+  * weighs as it goes) and run the radius search + OutliersCluster on it.
   *
   * Running time O(|S|·|T| + k·|T|²·log|T|) with |T| = (k+z)(24/ε)^D, versus
   * the O(k·|S|²·log|S|) of CharikarEtAl — this is what Fig. 8 measures.
@@ -35,23 +35,23 @@ object SeqCoresetOutliers {
   def runFixedSize(points: Array[Array[Double]], k: Int, z: Int, tau: Int,
                    hatEps: Double = 0.05, seed: Long = 42L): Result = {
     val t0 = System.nanoTime()
-    solve(points, GMM.coresetBySize(points, tau, firstIndex(points, seed)), k, z, hatEps, seed, t0)
+    solve(GMM.coresetBySize(points, tau, firstIndex(points, seed)), k, z, hatEps, seed, t0)
   }
 
   /** ε-driven variant (theory): stopping rule of Sec. 3.2 with base k+z. */
   def runByEpsilon(points: Array[Array[Double]], k: Int, z: Int,
                    hatEps: Double, seed: Long = 42L): Result = {
     val t0 = System.nanoTime()
-    solve(points, GMM.coresetByEpsilon(points, k + z, hatEps, firstIndex(points, seed)), k, z, hatEps, seed, t0)
+    solve(GMM.coresetByEpsilon(points, k + z, hatEps, firstIndex(points, seed)), k, z, hatEps, seed, t0)
   }
 
   private def firstIndex(points: Array[Array[Double]], seed: Long): Int =
     math.floorMod(seed, points.length.toLong).toInt
 
-  /** Weighs the round-1 `trace` (started at `t0`) and runs the radius search on it. */
-  private def solve(points: Array[Array[Double]], trace: GMM.Trace, k: Int, z: Int,
+  /** Runs the radius search on the weighted round-1 `trace` (started at `t0`). */
+  private def solve(trace: GMM.Trace, k: Int, z: Int,
                     hatEps: Double, seed: Long, t0: Long): Result = {
-    val weighted = GMM.weigh(points, trace.centers)
+    val weighted = trace.weighted
     val t1 = System.nanoTime()
     val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.data.Datasets
 import repro.eval.Evaluate
-import repro.mr.MRKCenter
+import repro.mr.{CoresetSpec, MRKCenter}
 
 /** Experiment of Fig. 2: approximation ratio of the MapReduce k-center
   * algorithm using coresets of size τ = μk per partition, μ ∈ {1,2,4,8},
@@ -27,7 +27,7 @@ object Fig2KCenter {
         for (ell <- ells; mu <- mus; rep <- 1 to cfg.reps) yield {
           val seed = cfg.seed + 31L * rep
           val (res, ms) = Evaluate.timed(
-            MRKCenter.run(ds, spec.k, ell, MRKCenter.FixedSize(mu * spec.k), seed = seed))
+            MRKCenter.run(ds, spec.k, ell, CoresetSpec.FixedSize(mu * spec.k), seed = seed))
           val radius = Evaluate.radiusDS(ds, res.centers)
           (ell, mu, res.coresetUnionSize, radius, ms)
         }

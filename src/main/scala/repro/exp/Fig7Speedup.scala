@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.data.Datasets
-import repro.mr.{MROutliers, Partitioning}
+import repro.mr.{CoresetSpec, MROutliers, Partitioning}
 
 /** Experiment of Fig. 7: scalability with the number of processors of the
   * randomized MapReduce algorithm for k-center with z outliers. The size of
@@ -30,7 +30,7 @@ object Fig7Speedup {
       val rows = for (ell <- ells) yield {
         val tau = unionTarget / ell
         val reps = for (rep <- 1 to cfg.reps) yield {
-          val res = MROutliers.run(ds, k, z, ell, MROutliers.FixedSize(tau),
+          val res = MROutliers.run(ds, k, z, ell, CoresetSpec.FixedSize(tau),
                                    Partitioning.Random, seed = cfg.seed + 13L * rep)
           (res.round1Millis, res.round2Millis)
         }

@@ -1,7 +1,7 @@
 package repro.mr
 
 import org.apache.spark.sql.Dataset
-import repro.core.{GMM, RadiusSearch, WeightedPoint}
+import repro.core.RadiusSearch
 import repro.data.DataPoint
 
 /** 2-round MapReduce algorithms for k-center with z outliers (Sec. 3.2 and
@@ -10,7 +10,8 @@ import repro.data.DataPoint
   * Round 1: partition S into ℓ subsets; on each, GMM builds a coreset T_i
   * (size τ = μ(k+z) deterministic / τ = μ(k+6z/ℓ) randomized in the
   * experiments, or the ε̂-stopping rule with base k+z resp. k+z'), and every
-  * coreset point gets the *weight* of the input points it proxies.
+  * coreset point gets the *weight* of the input points it proxies. [[Round1]]
+  * does both in one GMM pass per partition of the routed RDD.
   *
   * Round 2: the single reducer (driver) gathers T = ∪T_i and runs the
   * (1+δ)-tolerant radius search driving OUTLIERSCLUSTER (core.RadiusSearch).
@@ -18,12 +19,6 @@ import repro.data.DataPoint
   * reproduces MalkomesEtAl [26].
   */
 object MROutliers {
-
-  sealed trait CoresetSpec
-  /** Fixed per-partition coreset size τ (experiments). */
-  final case class FixedSize(tau: Int) extends CoresetSpec
-  /** ε̂-stopping rule with base kBase = k+z (det.) or k+z' (randomized). */
-  final case class Precision(hatEps: Double, kBase: Int) extends CoresetSpec
 
   /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
     * the round-2 search; see [[RadiusSearch.SearchResult]].
@@ -38,32 +33,11 @@ object MROutliers {
       optimumLowerBound: Double,
   )
 
-  /** Round-1 kernel: weighted GMM coreset of one partition (public so tests
-    * can probe round 1 in isolation).
-    */
-  def weightedPartitionCoreset(points: Array[Array[Double]], spec: CoresetSpec,
-                                           seed: Long): Array[WeightedPoint] = {
-    if (points.isEmpty) return Array.empty
-    val firstIdx = math.floorMod(seed, points.length.toLong).toInt
-    val trace = spec match {
-      case FixedSize(tau)          => GMM.coresetBySize(points, tau, firstIdx)
-      case Precision(hatEps, base) => GMM.coresetByEpsilon(points, base, hatEps, firstIdx)
-    }
-    GMM.weigh(points, trace.centers)
-  }
-
   /** The generic 2-round run: caller picks partitioning and coreset spec. */
   def run(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, spec: CoresetSpec,
           partitioning: Partitioning, hatEps: Double = 0.05, seed: Long = 42L): Result = {
-    import ds.sparkSession.implicits._
     val t0 = System.nanoTime()
-    val union: Array[WeightedPoint] = partitioning(ds, ell, seed)
-      .mapPartitions { it =>
-        val pts = it.map(_.vec).toArray
-        weightedPartitionCoreset(pts, spec, seed).iterator
-      }
-      .collect()
-    require(union.nonEmpty, "empty input dataset")
+    val union = Round1.union(ds, ell, spec, partitioning, seed)
     val t1 = System.nanoTime()
     val sr = RadiusSearch.search(union, k, z.toLong, hatEps, seed)
     val t2 = System.nanoTime()
@@ -77,7 +51,7 @@ object MROutliers {
   def runDeterministic(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, mu: Int,
                        partitioning: Partitioning = Partitioning.Arbitrary,
                        hatEps: Double = 0.05, seed: Long = 42L): Result =
-    run(ds, k, z, ell, FixedSize(mu * (k + z)), partitioning, hatEps, seed)
+    run(ds, k, z, ell, CoresetSpec.FixedSize(mu * (k + z)), partitioning, hatEps, seed)
 
   /** Randomized algorithm (Sec. 3.2.1), experiment parametrization: random
     * partitioning and τ = μ(k + 6z/ℓ) — Lemma 7's bound on outliers per
@@ -86,6 +60,6 @@ object MROutliers {
   def runRandomized(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, mu: Int,
                     hatEps: Double = 0.05, seed: Long = 42L): Result = {
     val tau = mu * (k + (6 * z + ell - 1) / ell)
-    run(ds, k, z, ell, FixedSize(tau), Partitioning.Random, hatEps, seed)
+    run(ds, k, z, ell, CoresetSpec.FixedSize(tau), Partitioning.Random, hatEps, seed)
   }
 }

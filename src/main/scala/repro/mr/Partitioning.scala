@@ -1,6 +1,7 @@
 package repro.mr
 
 import org.apache.spark.Partitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
 import repro.data.DataPoint
 
@@ -19,31 +20,24 @@ import repro.data.DataPoint
   */
 sealed trait Partitioning {
   /** Repartition `ds` into exactly `ell` subsets according to the strategy. */
-  def apply(ds: Dataset[DataPoint], ell: Int, seed: Long): Dataset[DataPoint]
+  def apply(ds: Dataset[DataPoint], ell: Int, seed: Long): Dataset[DataPoint] =
+    ds.sparkSession.createDataset(routed(ds, ell, seed))(ds.encoder)
 
-  /** Shared routing: key each point and place it on partition = key. */
-  protected def route(ds: Dataset[DataPoint], ell: Int, seed: Long)
-                     (keyFor: (DataPoint, scala.util.Random) => Int): Dataset[DataPoint] = {
-    val spark = ds.sparkSession
-    import spark.implicits._
+  /** The subsets as an RDD with `ell` partitions: each point is keyed with
+    * the strategy's key (drawn from one RNG per source partition) and placed
+    * on partition = key. Round 1 maps over this RDD directly.
+    */
+  private[mr] def routed(ds: Dataset[DataPoint], ell: Int, seed: Long): RDD[DataPoint] = {
+    val keyFor = key(ell)
     val keyed = ds.rdd.mapPartitionsWithIndex { (pi, it) =>
       val rng = new scala.util.Random(seed * 1000003L + pi)
       it.map(p => (keyFor(p, rng), p))
     }
-    val routed = keyed.partitionBy(new Partitioning.IdentityPartitioner(ell)).values
-    spark.createDataset(routed)
+    keyed.partitionBy(new Partitioning.IdentityPartitioner(ell)).values
   }
 
-  /** Contiguous-chunk key by id (ids are dense 0..n-1 in this repo's
-    * generators; injected outliers take the trailing ids).
-    */
-  protected def chunkOf(id: Long, chunk: Long, ell: Int): Int =
-    math.min(ell - 1L, id / chunk).toInt
-
-  protected def chunkSize(ds: Dataset[DataPoint], ell: Int): Long = {
-    val n = ds.count()
-    math.max(1L, (n + ell - 1) / ell)
-  }
+  /** The subset of a point, in [0, ell). */
+  protected def key(ell: Int): (DataPoint, scala.util.Random) => Int
 }
 
 object Partitioning {
@@ -60,22 +54,21 @@ object Partitioning {
     * that needs k centers at optimal radius.
     */
   case object Arbitrary extends Partitioning {
-    def apply(ds: Dataset[DataPoint], ell: Int, seed: Long): Dataset[DataPoint] =
-      route(ds, ell, seed)((p, _) => math.floorMod(p.id, ell.toLong).toInt)
+    protected def key(ell: Int): (DataPoint, scala.util.Random) => Int =
+      (p, _) => math.floorMod(p.id, ell.toLong).toInt
   }
 
   /** Uniform independent random assignment (randomized algorithm, Sec 3.2.1). */
   case object Random extends Partitioning {
-    def apply(ds: Dataset[DataPoint], ell: Int, seed: Long): Dataset[DataPoint] =
-      route(ds, ell, seed)((_, rng) => rng.nextInt(ell))
+    protected def key(ell: Int): (DataPoint, scala.util.Random) => Int =
+      (_, rng) => rng.nextInt(ell)
   }
 
   /** Adversarial split for Fig. 4: round-robin, but every injected outlier
     * is forced into partition 0.
     */
   case object AdversarialOutliers extends Partitioning {
-    def apply(ds: Dataset[DataPoint], ell: Int, seed: Long): Dataset[DataPoint] =
-      route(ds, ell, seed)((p, _) =>
-        if (p.isOutlier) 0 else math.floorMod(p.id, ell.toLong).toInt)
+    protected def key(ell: Int): (DataPoint, scala.util.Random) => Int =
+      (p, _) => if (p.isOutlier) 0 else math.floorMod(p.id, ell.toLong).toInt
   }
 }

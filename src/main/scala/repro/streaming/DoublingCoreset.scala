@@ -95,18 +95,20 @@ final class DoublingCoreset(tau: Int, weighted: Boolean = true) {
   def size: Int = if (initialized) vecs.length else init.length
 
   private def minPairwise(ps: scala.collection.IndexedSeq[Array[Double]]): Double = {
-    var best = Double.MaxValue
+    var best = Double.PositiveInfinity
     var i = 0
     while (i < ps.length) {
       var j = i + 1
       while (j < ps.length) {
-        val d = Points.dist(ps(i), ps(j))
+        val d = Points.sqDist(ps(i), ps(j))
         if (d < best) best = d
         j += 1
       }
       i += 1
     }
-    best
+    // One root at the end: sqrt is monotone. MaxValue when no squared
+    // distance is finite, as the minimum of the roots would give.
+    if (best == Double.PositiveInfinity) Double.MaxValue else math.sqrt(best)
   }
 
   private def mirror(i: Int): Unit = {

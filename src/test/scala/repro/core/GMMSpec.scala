@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.data.Datasets
 import repro.{SparkSpec, TestData}
 
 class GMMSpec extends SparkSpec {
@@ -206,6 +207,63 @@ class GMMSpec extends SparkSpec {
           assert((tr.centerIdx.toSeq, tr.radiusAfter.toSeq, w) == plainGMM(pts, tau, first), clue)
         }
       }
+    }
+  }
+
+  test("the pruned kernel's trace and weights equal the plain-kernel GMM + weigh on round-1 partitions") {
+    // Partitions of the benchmark's inputs (higgsLike 7-d, wikiLike 50-d),
+    // one of them outlier-heavy, at the coreset sizes of the MapReduce runs.
+    val before = GMM.prunedUpdates.get
+    for (spec <- Seq(Datasets.higgsLike, Datasets.wikiLike)) {
+      val part = Datasets.localPoints(spec, 1250, 3L)
+      val (crowded, _) = Datasets.withOutliers(part.take(1050), 200, 3L)
+      for ((name, pts) <- Seq("plain" -> part, "outliers" -> crowded); tau <- Seq(95, 220, 760)) {
+        val first = math.floorMod(3L + tau, pts.length.toLong).toInt
+        val tr = GMM.coresetBySize(pts, tau, first)
+        val clue = s"${spec.name} $name tau=$tau"
+        assert((tr.centerIdx.toSeq, tr.radiusAfter.toSeq, tr.weights.toSeq) == plainGMM(pts, tau, first), clue)
+        assert(tr.weighted.map(_.weight).toSeq == GMM.weigh(pts, tr.centers).map(_.weight).toSeq, clue)
+        assert(tr.weights.sum == pts.length.toLong, clue)
+      }
+    }
+    assert(GMM.prunedUpdates.get > before, "the triangle rule never skipped an update")
+  }
+
+  test("the pruned kernel equals the plain one on duplicate-heavy inputs and on a lattice with exact ties") {
+    val lattice = Array.tabulate(900)(i => Array((i % 30).toDouble, (i / 30).toDouble))
+    for (tau <- Seq(10, 95, 220); first <- Seq(0, 437)) {
+      val tr = GMM.coresetBySize(lattice, tau, first)
+      assert((tr.centerIdx.toSeq, tr.radiusAfter.toSeq, tr.weights.toSeq) == plainGMM(lattice, tau, first),
+             s"lattice tau=$tau first=$first")
+    }
+    TestData.forSeeds(4) { s =>
+      val distinct = Datasets.localPoints(Datasets.higgsLike, 40, s)
+      val pts = Array.tabulate(2000)(i => distinct((i * 7) % 40)) ++ Datasets.localPoints(Datasets.higgsLike, 200, s + 1)
+      for (tau <- Seq(95, 220, 760)) {
+        val first = math.floorMod(s, pts.length.toLong).toInt
+        val tr = GMM.coresetBySize(pts, tau, first)
+        assert((tr.centerIdx.toSeq, tr.radiusAfter.toSeq, tr.weights.toSeq) == plainGMM(pts, tau, first),
+               s"seed=$s tau=$tau")
+        assert(tr.weights.sum == pts.length.toLong)
+      }
+    }
+  }
+
+  test("the triangle rule stays off where squared distances are below 2^-900") {
+    // At coordinate scales of 1e-150 and below, squared distances are tiny,
+    // subnormal (1e-160) or 0 (1e-170), and their rounding could exceed the
+    // rule's margin.
+    val (blobs, _) = TestData.blobs(8, 40, 7, 5L, sep = 30.0, std = 1.5)
+    for (scale <- Seq(1e-150, 1e-160, 1e-170)) {
+      val pts = blobs.map(_.map(_ * scale))
+      val before = GMM.prunedUpdates.get
+      for (tau <- Seq(10, 95)) {
+        val tr = GMM.coresetBySize(pts, tau, 3)
+        assert((tr.centerIdx.toSeq, tr.radiusAfter.toSeq, tr.weights.toSeq) == plainGMM(pts, tau, 3),
+               s"scale=$scale tau=$tau")
+        assert(tr.weights.sum == pts.length.toLong)
+      }
+      assert(GMM.prunedUpdates.get == before, s"scale=$scale")
     }
   }
 

@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.DataFrame
 import repro.core.{GMM, Points, WeightedPoint}
 import repro.data.DataPoint
-import repro.mr.MROutliers
+import repro.mr.{CoresetSpec, Round1}
 import repro.{Oracle, SparkSpec, TestData}
 
 /** Checks `Evaluate`'s radius functions (maps over the RDD) against a Spark
@@ -78,7 +78,7 @@ class EvaluateSpec extends SparkSpec {
     import spark.implicits._
     val pts = TestData.uniform(500, 3, 4L)
     val coreset: Array[WeightedPoint] =
-      MROutliers.weightedPartitionCoreset(pts, MROutliers.FixedSize(25), 7L)
+      Round1.coreset(pts, CoresetSpec.FixedSize(25), 7L)
     val wDF = coreset.toSeq.zipWithIndex.map { case (wp, i) => (i.toLong, wp.weight) }
       .toDF("tid", "w")
     wDF.createOrReplaceTempView("coreset")

@@ -16,19 +16,19 @@ class MRKCenterSpec extends SparkSpec {
 
   test("returns exactly k centers") {
     val ds = toDS(TestData.uniform(500, 3, 1L))
-    val res = MRKCenter.run(ds, 6, ell = 4, MRKCenter.FixedSize(12))
+    val res = MRKCenter.run(ds, 6, ell = 4, CoresetSpec.FixedSize(12))
     assert(res.centers.length == 6)
   }
 
   test("coreset union size is ell * tau when partitions are large enough") {
     val ds = toDS(TestData.uniform(1000, 3, 2L))
-    val res = MRKCenter.run(ds, 5, ell = 4, MRKCenter.FixedSize(20))
+    val res = MRKCenter.run(ds, 5, ell = 4, CoresetSpec.FixedSize(20))
     assert(res.coresetUnionSize == 80)
   }
 
   test("coreset union caps at n when tau exceeds partition sizes") {
     val ds = toDS(TestData.uniform(40, 2, 3L))
-    val res = MRKCenter.run(ds, 3, ell = 4, MRKCenter.FixedSize(100))
+    val res = MRKCenter.run(ds, 3, ell = 4, CoresetSpec.FixedSize(100))
     assert(res.coresetUnionSize == 40)
   }
 
@@ -39,7 +39,7 @@ class MRKCenterSpec extends SparkSpec {
     TestData.forSeeds(6) { s =>
       val pts = TestData.uniform(14, 2, s)
       val ds = toDS(pts)
-      val res = MRKCenter.run(ds, 3, ell = 2, MRKCenter.FixedSize(6), seed = s)
+      val res = MRKCenter.run(ds, 3, ell = 2, CoresetSpec.FixedSize(6), seed = s)
       val r = Points.radius(pts, res.centers)
       val opt = ExactKCenter.optimalRadius(pts, 3)
       assert(r <= 4.5 * opt + 1e-9, s"seed=$s r=$r opt=$opt")
@@ -49,7 +49,7 @@ class MRKCenterSpec extends SparkSpec {
   test("precision spec meets Theorem 1 bound on blobs") {
     val (pts, _) = TestData.blobs(4, 100, 3, 4L, sep = 800.0, std = 1.0)
     val ds = toDS(pts)
-    val res = MRKCenter.run(ds, 4, ell = 4, MRKCenter.Precision(0.5, 4))
+    val res = MRKCenter.run(ds, 4, ell = 4, CoresetSpec.Precision(0.5, 4))
     val r = Points.radius(pts, res.centers)
     assert(r < 20.0) // cluster scale; (2+eps) of ~sqrt(dim)*std
   }
@@ -57,7 +57,7 @@ class MRKCenterSpec extends SparkSpec {
   test("ell = 1 equals the sequential GMM-coreset pipeline") {
     val pts = TestData.uniform(300, 3, 5L)
     val ds = toDS(pts).coalesce(1)
-    val res = MRKCenter.run(ds, 5, ell = 1, MRKCenter.FixedSize(25), seed = 9L)
+    val res = MRKCenter.run(ds, 5, ell = 1, CoresetSpec.FixedSize(25), seed = 9L)
     // Sequential reference: same coreset spec on the whole input.
     val core = GMM.coresetBySize(pts, 25, math.floorMod(9L, pts.length.toLong).toInt)
     // Partition order may differ after repartition(1); compare radii not centers.
@@ -72,7 +72,7 @@ class MRKCenterSpec extends SparkSpec {
     val ds = toDS(pts).cache()
     val rads = Seq(1, 8).map { mu =>
       val rs = TestData.forSeedsCollect(3) { s =>
-        val res = MRKCenter.run(ds, 6, ell = 4, MRKCenter.FixedSize(mu * 6), seed = s)
+        val res = MRKCenter.run(ds, 6, ell = 4, CoresetSpec.FixedSize(mu * 6), seed = s)
         Points.radius(pts, res.centers)
       }
       rs.sum / rs.size
@@ -92,14 +92,14 @@ class MRKCenterSpec extends SparkSpec {
 
   test("timings are recorded") {
     val ds = toDS(TestData.uniform(100, 2, 8L))
-    val res = MRKCenter.run(ds, 3, ell = 2, MRKCenter.FixedSize(6))
+    val res = MRKCenter.run(ds, 3, ell = 2, CoresetSpec.FixedSize(6))
     assert(res.round1Millis >= 0 && res.round2Millis >= 0)
   }
 
   test("works against a synthetic dataset generated on Spark") {
     val ds = Datasets.points(spark, Datasets.higgsLike, 800L, 11L).cache()
     val res = MRKCenter.run(ds, Datasets.higgsLike.k, ell = 4,
-                            MRKCenter.FixedSize(Datasets.higgsLike.k))
+                            CoresetSpec.FixedSize(Datasets.higgsLike.k))
     val r = Evaluate.radiusDS(ds, res.centers)
     ds.unpersist()
     assert(res.centers.length == 50 && r > 0 && r.isFinite)

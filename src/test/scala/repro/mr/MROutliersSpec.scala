@@ -1,6 +1,6 @@
 package repro.mr
 
-import repro.core.{ExactKCenter, Points}
+import repro.core.{ExactKCenter, GMM, Points, RadiusSearch, SeqCoresetOutliers}
 import repro.data.{DataPoint, Datasets}
 import repro.eval.Evaluate
 import repro.{SparkSpec, TestData}
@@ -35,7 +35,7 @@ class MROutliersSpec extends SparkSpec {
   test("weights of the union coreset sum to |S|") {
     val pts = TestData.uniform(900, 3, 4L)
     // Inspect round 1 directly through the kernel.
-    val w = MROutliers.weightedPartitionCoreset(pts, MROutliers.FixedSize(30), 5L)
+    val w = Round1.coreset(pts, CoresetSpec.FixedSize(30), 5L)
     assert(w.map(_.weight).sum == 900L)
   }
 
@@ -125,5 +125,51 @@ class MROutliersSpec extends SparkSpec {
     val res = MROutliers.runDeterministic(ds, 3, 4, ell = 1, mu = 4, seed = 3L)
     val rMr = Points.radiusWithOutliers(pts, res.centers, 4)
     assert(rMr < 50.0)
+  }
+
+  private def bits(v: Array[Double]): Seq[Long] = v.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  private val partitionings = Seq(Partitioning.Arbitrary, Partitioning.Random, Partitioning.AdversarialOutliers)
+
+  test("round-1 union equals Partitioning.apply + GMM.coresetBySize + GMM.weigh, in order, bit for bit") {
+    import spark.implicits._
+    val base = Datasets.points(spark, Datasets.higgsLike, 3000L, 11L, numPartitions = 5)
+    val ds = Datasets.withOutliersDS(spark, base, 60, 11L).cache()
+    val (k, z, ell, tau) = (5, 60, 4, 80)
+    for (partitioning <- partitionings; seed <- Seq(3L, 8L)) {
+      val composed = partitioning(ds, ell, seed).mapPartitions { it =>
+        val pts = it.map(_.vec).toArray
+        if (pts.isEmpty) Iterator.empty
+        else {
+          val trace = GMM.coresetBySize(pts, tau, math.floorMod(seed, pts.length.toLong).toInt)
+          GMM.weigh(pts, trace.centers).iterator
+        }
+      }.collect()
+      val union = Round1.union(ds, ell, CoresetSpec.FixedSize(tau), partitioning, seed)
+      val clue = s"$partitioning seed=$seed"
+      assert(union.map(p => (bits(p.vec), p.weight)).toSeq == composed.map(p => (bits(p.vec), p.weight)).toSeq, clue)
+      // The composed layers reproduce the driver's |T| and search radius.
+      val res = MROutliers.run(ds, k, z, ell, CoresetSpec.FixedSize(tau), partitioning, seed = seed)
+      val sr = RadiusSearch.search(composed, k, z.toLong, 0.05, seed)
+      assert(res.coresetUnionSize == composed.length && res.searchRadius == sr.radius, clue)
+    }
+    ds.unpersist()
+  }
+
+  test("ell = 1 equals SeqCoresetOutliers bit for bit (centers, search radius, coreset size)") {
+    val (clean, _) = TestData.blobs(4, 60, 3, 12L, sep = 200.0, std = 2.0)
+    val (pts, flags) = Datasets.withOutliers(clean, 12, 12L)
+    val ds = toDS(pts, flags).cache()
+    for (partitioning <- partitionings; (k, z, mu) <- Seq((3, 4, 1), (3, 4, 4), (5, 10, 2))) {
+      TestData.forSeeds(6) { s =>
+        val tau = mu * (k + z)
+        val mr = MROutliers.run(ds, k, z, 1, CoresetSpec.FixedSize(tau), partitioning, seed = s)
+        val seq = SeqCoresetOutliers.runFixedSize(pts, k, z, tau, seed = s)
+        val clue = s"$partitioning k=$k z=$z mu=$mu seed=$s"
+        assert(mr.centers.map(bits).toSeq == seq.centers.map(bits).toSeq, clue)
+        assert(mr.searchRadius == seq.radius && mr.coresetUnionSize == seq.coresetSize, clue)
+      }
+    }
+    ds.unpersist()
   }
 }
