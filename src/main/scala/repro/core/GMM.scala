@@ -44,8 +44,6 @@ object GMM {
                          weights: Array[Long]) {
     def centers: Array[Array[Double]] = centerIdx.map(points)
     def size: Int = centerIdx.length
-    /** Centers of the prefix of length j (the paper's T^j). */
-    def prefix(j: Int): Array[Array[Double]] = centerIdx.take(j).map(points)
     /** The centers with their proxy weights (Sec. 3.2). */
     def weighted: Array[WeightedPoint] =
       Array.tabulate(size)(j => WeightedPoint(points(centerIdx(j)), weights(j)))

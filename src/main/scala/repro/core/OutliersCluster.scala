@@ -238,10 +238,4 @@ object OutliersCluster {
 
   /** Candidates marked dead since start-up, for tests. */
   private[core] val deadMarks = new java.util.concurrent.atomic.AtomicLong
-
-  /** Just the uncovered weight for a radius guess — the feasibility probe the
-    * radius search uses (feasible iff ≤ z).
-    */
-  def uncoveredWeight(t: Array[WeightedPoint], k: Int, r: Double, hatEps: Double): Long =
-    run(t, k, r, hatEps).uncoveredWeight
 }

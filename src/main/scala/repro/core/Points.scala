@@ -75,11 +75,7 @@ object Points {
   /** Euclidean distance between two equal-length vectors. */
   def dist(a: Array[Double], b: Array[Double]): Double = math.sqrt(sqDist(a, b))
 
-  /** Distance from a point to a finite set of centers: d(s, X) = min_x d(s,x). */
-  def distToSet(p: Array[Double], centers: Array[Array[Double]]): Double =
-    math.sqrt(sqDistToSet(p, centers))
-
-  /** Squared distance from a point to its closest center. */
+  /** Squared distance from a point to its closest center: d(s, X)² = min_x d(s,x)². */
   def sqDistToSet(p: Array[Double], centers: Array[Array[Double]]): Double = {
     var best = Double.MaxValue
     var i = 0

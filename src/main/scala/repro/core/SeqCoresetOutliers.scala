@@ -45,8 +45,13 @@ object SeqCoresetOutliers {
     solve(GMM.coresetByEpsilon(points, k + z, hatEps, firstIndex(points, seed)), k, z, hatEps, seed, t0)
   }
 
-  private def firstIndex(points: Array[Array[Double]], seed: Long): Int =
+  /** The seed-derived first GMM center; rejects an empty input first, which
+    * would otherwise fail here as a division by zero.
+    */
+  private def firstIndex(points: Array[Array[Double]], seed: Long): Int = {
+    require(points.nonEmpty, "the sequential coreset algorithm needs a non-empty input")
     math.floorMod(seed, points.length.toLong).toInt
+  }
 
   /** Runs the radius search on the weighted round-1 `trace` (started at `t0`). */
   private def solve(trace: GMM.Trace, k: Int, z: Int,

@@ -5,9 +5,7 @@ import repro.core.Points
 import repro.data.DataPoint
 
 /** Shared measurement helpers for the experiment harness: radius objectives
-  * (local and distributed), wall-clock timing, and the paper's empirical
-  * approximation-ratio convention (radius / best radius ever found for the
-  * same dataset and parameters — Sec. 5, "Experimental setting").
+  * (local and distributed) and wall-clock timing.
   */
 object Evaluate {
 
@@ -58,12 +56,4 @@ object Evaluate {
     val r = f
     (r, (System.nanoTime() - t0) / 1000000)
   }
-
-  /** Best (smallest) radius observed per key — the denominator of the
-    * paper's empirical approximation ratio ("the best radius ever found
-    * across all experiments with the same dataset and parameter
-    * configuration", Sec. 5).
-    */
-  def bestByKey(radiiByKey: Seq[(String, Double)]): Map[String, Double] =
-    radiiByKey.groupMapReduce(_._1)(_._2)(math.min)
 }

@@ -35,12 +35,8 @@ object Fig2KCenter {
       spec -> rows
     }
     raw.flatMap { case (spec, rows) =>
-      val best = rows.map(_._4).min
-      // Average the reps per (ell, mu) cell, as the paper averages runs.
-      rows.groupBy(r => (r._1, r._2)).toSeq.sortBy(_._1).map { case ((ell, mu), rs) =>
-        val rad = rs.map(_._4).sum / rs.size
-        Row(spec.name, spec.k, ell, mu, rs.head._3, rad, rad / best,
-            rs.map(_._5).sum / rs.size)
+      Sweep.cells(rows)(r => (r._1, r._2))(_._4).map { case Sweep.Cell((ell, mu), rs, rad, ratio) =>
+        Row(spec.name, spec.k, ell, mu, rs.head._3, rad, ratio, rs.map(_._5).sum / rs.size)
       }
     }
   }

@@ -48,12 +48,9 @@ object Fig4MROutliers {
       spec -> rows
     }
     raw.flatMap { case (spec, rows) =>
-      val best = rows.map(_._4).min
-      rows.groupBy(r => (r._1, r._2)).toSeq.sortBy(x => (x._1._2, x._1._1)).map {
-        case ((algo, mu), rs) =>
-          val rad = rs.map(_._4).sum / rs.size
-          Row(spec.name, algo, mu, rs.head._3, rad, rad / best, rs.map(_._6).sum / rs.size,
-              rs.map(_._5).sum / rs.size)
+      Sweep.cells(rows)(r => (r._2, r._1))(_._4).map { case Sweep.Cell((mu, algo), rs, rad, ratio) =>
+        Row(spec.name, algo, mu, rs.head._3, rad, ratio, rs.map(_._6).sum / rs.size,
+            rs.map(_._5).sum / rs.size)
       }
     }
   }

@@ -33,34 +33,24 @@ object Fig5StreamOutliers {
         for (p <- params; algo <- Seq("CoresetOutliers", "BaseOutliers"); rep <- 1 to reps) yield {
           val rnd = new scala.util.Random(cfg.seed + 19L * rep)
           val stream = rnd.shuffle(pts.toSeq).toArray
-          algo match {
+          val (space, kpts, centers) = algo match {
             case "CoresetOutliers" =>
               val a = new CoresetOutliers(k, z, p, seed = cfg.seed + rep)
-              val (_, ms) = Evaluate.timed(stream.foreach(a.update))
-              val sol = a.result()
-              (algo, p, a.space, Evaluate.radiusWithOutliersLocal(pts, sol.centers, z),
-               throughput(stream.length, ms))
+              (a.space, Sweep.throughput(stream)(a.update), a.result().centers)
             case "BaseOutliers" =>
               val a = new BaseOutliers(k, z, p)
-              val (_, ms) = Evaluate.timed(stream.foreach(a.update))
-              val centers = a.result()
-              (algo, p, a.space, Evaluate.radiusWithOutliersLocal(pts, centers, z),
-               throughput(stream.length, ms))
+              (a.space, Sweep.throughput(stream)(a.update), a.result())
           }
+          (algo, p, space, Evaluate.radiusWithOutliersLocal(pts, centers, z), kpts)
         }
       spec -> rows
     }
     raw.flatMap { case (spec, rows) =>
-      val best = rows.map(_._4).min
-      rows.groupBy(r => (r._1, r._2)).toSeq.sortBy(x => (x._1._1, x._1._2)).map {
-        case ((algo, p), rs) =>
-          val rad = rs.map(_._4).sum / rs.size
-          Row(spec.name, algo, p, rs.head._3, rad, rad / best, rs.map(_._5).sum / rs.size)
+      Sweep.cells(rows)(r => (r._1, r._2))(_._4).map { case Sweep.Cell((algo, p), rs, rad, ratio) =>
+        Row(spec.name, algo, p, rs.head._3, rad, ratio, rs.map(_._5).sum / rs.size)
       }
     }
   }
-
-  private def throughput(n: Int, ms: Long): Double = n.toDouble / math.max(1L, ms) // kpts/s
 
   def render(rows: Seq[Row]): String =
     Tables.render("Fig. 5 — Streaming k-center with z outliers: ratio & throughput vs space",

@@ -149,16 +149,8 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
     if (instances == null) {
       initBuf += p
       if (initBuf.length == k + z + 1) {
-        // Among k+z+1 points, two non-outliers share an optimal center, so
-        // half the min pairwise distance lower-bounds r*_{k,z}.
-        var minD = Double.MaxValue
-        for (i <- initBuf.indices; j <- (i + 1) until initBuf.length) {
-          val d = Points.dist(initBuf(i), initBuf(j))
-          if (d < minD && d > 0) minD = d
-        }
-        if (minD == Double.MaxValue) minD = 1e-12
-        val r0 = minD / 2.0
-        instances = Array.tabulate(m)(j => new Instance(r0 * math.pow(2.0, j.toDouble / m)))
+        // Among k+z+1 points, two non-outliers share an optimal center.
+        instances = BaseStream.guesses(initBuf, m).map(new Instance(_))
         initBuf.foreach(q => instances.foreach(_.insert(q)))
       }
       return

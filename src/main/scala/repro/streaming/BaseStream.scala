@@ -51,16 +51,8 @@ final class BaseStream(k: Int, m: Int) {
     if (instances == null) {
       initBuf += p
       if (initBuf.length == k + 1) {
-        // r0 = half the min pairwise distance of the first k+1 points: a
-        // valid lower bound on r*_k (two of them share an optimal center).
-        var minD = Double.MaxValue
-        for (i <- initBuf.indices; j <- (i + 1) until initBuf.length) {
-          val d = Points.dist(initBuf(i), initBuf(j))
-          if (d < minD && d > 0) minD = d
-        }
-        if (minD == Double.MaxValue) minD = 1e-12 // all-duplicate prefix
-        val r0 = minD / 2.0
-        instances = Array.tabulate(m)(j => new Instance(r0 * math.pow(2.0, j.toDouble / m)))
+        // Two of the first k+1 points share an optimal center.
+        instances = BaseStream.guesses(initBuf, m).map(new Instance(_))
         initBuf.foreach(q => instances.foreach(_.insert(q)))
       }
       return
@@ -73,5 +65,25 @@ final class BaseStream(k: Int, m: Int) {
   def result(): Array[Array[Double]] = {
     if (instances == null) return initBuf.toArray
     instances.minBy(_.r).centers.toArray
+  }
+}
+
+object BaseStream {
+
+  /** The m staggered radius guesses r0·2^{j/m} of both baselines, with r0 half
+    * the smallest nonzero pairwise distance of the buffered `prefix`: a lower
+    * bound on the optimum whenever two of its points must share an optimal
+    * center (1e-12 for an all-duplicate prefix). Squared distances are
+    * compared and one root is taken at the end: sqrt is monotone and positive
+    * exactly on positive inputs.
+    */
+  private[streaming] def guesses(prefix: ArrayBuffer[Array[Double]], m: Int): Array[Double] = {
+    var best = Double.PositiveInfinity
+    for (i <- prefix.indices; j <- (i + 1) until prefix.length) {
+      val d = Points.sqDist(prefix(i), prefix(j))
+      if (d < best && d > 0) best = d
+    }
+    val r0 = (if (best == Double.PositiveInfinity) 1e-12 else math.sqrt(best)) / 2.0
+    Array.tabulate(m)(j => r0 * math.pow(2.0, j.toDouble / m))
   }
 }

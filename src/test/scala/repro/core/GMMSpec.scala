@@ -37,7 +37,7 @@ class GMMSpec extends SparkSpec {
     val pts = TestData.uniform(30, 3, 9L)
     val tr = GMM.coresetBySize(pts, 10)
     for (j <- 1 to 10) {
-      val r = Points.radius(pts, tr.prefix(j))
+      val r = Points.radius(pts, tr.centers.take(j))
       assert(math.abs(r - tr.radiusAfter(j - 1)) < 1e-9, s"prefix $j")
     }
   }

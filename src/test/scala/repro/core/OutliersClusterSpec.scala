@@ -29,7 +29,7 @@ class OutliersClusterSpec extends SparkSpec {
       val res = OutliersCluster.run(t, 3, r, eps)
       val lim = (3 + 4 * eps) * r
       res.uncovered.foreach { u =>
-        assert(Points.distToSet(u.vec, res.centers) > lim - 1e-9)
+        assert(math.sqrt(Points.sqDistToSet(u.vec, res.centers)) > lim - 1e-9)
       }
     }
   }
@@ -43,7 +43,7 @@ class OutliersClusterSpec extends SparkSpec {
       val uncSet = res.uncovered.map(_.vec.toSeq).toSet
       val lim = (3 + 4 * eps) * r
       pts.filterNot(p => uncSet(p.toSeq)).foreach { p =>
-        assert(Points.distToSet(p, res.centers) <= lim + 1e-9)
+        assert(math.sqrt(Points.sqDistToSet(p, res.centers)) <= lim + 1e-9)
       }
     }
   }

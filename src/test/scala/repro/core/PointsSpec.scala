@@ -65,12 +65,12 @@ class PointsSpec extends SparkSpec {
     assert(res.passed, res.status)
   }
 
-  test("distToSet is the min over centers") {
+  test("sqDistToSet is the min over centers") {
     TestData.forSeeds(20) { s =>
       val pts = TestData.uniform(10, 3, s)
       val p = pts.head
       val cs = pts.tail
-      assert(math.abs(Points.distToSet(p, cs) - cs.map(Points.dist(p, _)).min) < 1e-12)
+      assert(Points.sqDistToSet(p, cs) == cs.map(Points.sqDist(p, _)).min)
     }
   }
 
@@ -92,7 +92,7 @@ class PointsSpec extends SparkSpec {
     TestData.forSeeds(10) { s =>
       val pts = TestData.uniform(30, 4, s)
       val cs = pts.take(3)
-      val expected = pts.map(Points.distToSet(_, cs)).max
+      val expected = pts.map(p => math.sqrt(Points.sqDistToSet(p, cs))).max
       assert(math.abs(Points.radius(pts, cs) - expected) < 1e-9)
     }
   }
@@ -114,7 +114,7 @@ class PointsSpec extends SparkSpec {
     TestData.forSeeds(10) { s =>
       val pts = TestData.uniform(30, 3, s)
       val cs = pts.take(2)
-      val ds = pts.map(Points.distToSet(_, cs)).sorted
+      val ds = pts.map(p => math.sqrt(Points.sqDistToSet(p, cs))).sorted
       for (z <- Seq(1, 3, 7)) {
         val expected = ds(ds.length - 1 - z)
         assert(math.abs(Points.radiusWithOutliers(pts, cs, z) - expected) < 1e-9,

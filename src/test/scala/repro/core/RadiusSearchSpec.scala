@@ -35,7 +35,7 @@ class RadiusSearchSpec extends SparkSpec {
       val sr = RadiusSearch.search(t, k, z, eps, seed = s)
       assert(sr.lowerBound > 0 && sr.radius <= (1 + delta) * sr.lowerBound * (1 + 1e-12),
              s"seed=$s radius=${sr.radius} lowerBound=${sr.lowerBound}")
-      assert(OutliersCluster.uncoveredWeight(t, k, sr.lowerBound * (1 - 1e-9), eps) > z, s"seed=$s")
+      assert(OutliersCluster.run(t, k, sr.lowerBound * (1 - 1e-9), eps).uncoveredWeight > z, s"seed=$s")
     }
   }
 
@@ -147,7 +147,7 @@ class RadiusSearchSpec extends SparkSpec {
     val sr = RadiusSearch.search(t, k, z, eps)
     assert(sr.radius > 0 && sr.clustering.uncoveredWeight <= z)
     assert(sr.radius <= (1 + delta) * sr.lowerBound * (1 + 1e-12))
-    assert(OutliersCluster.uncoveredWeight(t, k, sr.lowerBound * (1 - 1e-9), eps) > z)
+    assert(OutliersCluster.run(t, k, sr.lowerBound * (1 - 1e-9), eps).uncoveredWeight > z)
   }
 
   test("eps-hat = 0 uses the 1% tolerance") {

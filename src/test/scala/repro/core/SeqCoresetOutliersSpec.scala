@@ -10,6 +10,12 @@ class SeqCoresetOutliersSpec extends SparkSpec {
     assert(res.coresetSize == 24)
   }
 
+  test("an empty input is rejected with an IllegalArgumentException") {
+    val none = Array.empty[Array[Double]]
+    intercept[IllegalArgumentException](SeqCoresetOutliers.runFixedSize(none, 2, 1, tau = 6))
+    intercept[IllegalArgumentException](SeqCoresetOutliers.runByEpsilon(none, 2, 1, hatEps = 0.5))
+  }
+
   test("returns at most k centers") {
     TestData.forSeeds(5) { s =>
       val pts = TestData.uniform(100, 3, s)

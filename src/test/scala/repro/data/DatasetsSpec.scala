@@ -31,7 +31,7 @@ class DatasetsSpec extends SparkSpec {
     // Non-noise points sit within a few sigmas of some center; allow the
     // noiseFrac background plus Gaussian tails.
     val lim = spec.sigmaMax * 5 * math.sqrt(spec.dim.toDouble)
-    val near = pts.count(p => Points.distToSet(p, centers) < lim)
+    val near = pts.count(p => math.sqrt(Points.sqDistToSet(p, centers)) < lim)
     assert(near >= (0.9 * pts.length).toInt, s"only $near/${pts.length} near centers")
   }
 

@@ -2,8 +2,9 @@ package repro.exp
 
 import repro.SparkSpec
 
-/** Unit tests for the experiment-harness plumbing (table rendering and
-  * configuration) — the parts every bench output flows through.
+/** Unit tests for the experiment-harness plumbing (table rendering, the
+  * best-ever ratio and configuration) — the parts every bench output flows
+  * through.
   */
 class HarnessUnitSpec extends SparkSpec {
 
@@ -24,6 +25,13 @@ class HarnessUnitSpec extends SparkSpec {
   test("f and f2 format with 3 and 2 decimals") {
     assert(Tables.f(1.23456) == "1.235")
     assert(Tables.f2(1.23456) == "1.23")
+  }
+
+  test("Sweep.cells averages each cell and divides by the best run's radius") {
+    val runs = Seq(("b", 2.5), ("a", 3.0), ("a", 1.0))
+    val cells = Sweep.cells(runs)(_._1)(_._2)
+    assert(cells.map(c => (c.key, c.runs, c.radius, c.ratio)) ==
+      Seq(("a", Seq(("a", 3.0), ("a", 1.0)), 2.0, 2.0), ("b", Seq(("b", 2.5)), 2.5, 2.5)))
   }
 
   test("bench config covers all three datasets at outlier parameters of Sec 5.2") {

@@ -256,7 +256,7 @@ class DoublingCoresetSpec extends SparkSpec {
       val dc = new DoublingCoreset(15)
       pts.foreach(dc.update)
       val t = dc.result().map(_.vec)
-      pts.foreach(p => assert(Points.distToSet(p, t) <= 8 * dc.phi + 1e-9))
+      pts.foreach(p => assert(math.sqrt(Points.sqDistToSet(p, t)) <= 8 * dc.phi + 1e-9))
     }
   }
 
@@ -275,11 +275,15 @@ class DoublingCoresetSpec extends SparkSpec {
   }
 
   test("short streams (< tau+1 points) return the points verbatim") {
-    val pts = TestData.uniform(5, 2, 1L)
-    val dc = new DoublingCoreset(10)
-    pts.foreach(dc.update)
-    val res = dc.result()
-    assert(res.length == 5 && res.forall(_.weight == 1L))
+    // n = tau is the last length before the (tau+1)-th point starts initialization.
+    for (n <- Seq(5, 10)) {
+      val pts = TestData.uniform(n, 2, 1L)
+      val dc = new DoublingCoreset(10)
+      pts.foreach(dc.update)
+      val res = dc.result()
+      assert(res.length == n && res.forall(_.weight == 1L), s"n=$n")
+      assert(res.map(_.vec.toSeq).toSeq == pts.map(_.toSeq).toSeq, s"n=$n")
+    }
   }
 
   test("handles duplicate points in the initial prefix") {
