@@ -101,7 +101,7 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
     }
 
     def insert(p: Array[Double]): Unit = {
-      if (centers.nonEmpty && Points.sqDistToSet(p, centers.toArray) <= fourRSq) return
+      if (BaseStream.covered(p, centers, fourRSq)) return
       addFree(p)
       if (promotable) promoteLoop()
       // Guess falsified: double r until the pool fits. Once 2r exceeds every
@@ -118,7 +118,7 @@ final class BaseOutliers(k: Int, z: Int, m: Int) {
         var j = 0
         while (j < carry.length) {
           val q = carry(j)
-          if (centers.isEmpty || Points.sqDistToSet(q, centers.toArray) > fourRSq) addFree(q)
+          if (!BaseStream.covered(q, centers, fourRSq)) addFree(q)
           j += 1
         }
         promoteLoop()

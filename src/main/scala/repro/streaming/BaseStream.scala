@@ -24,7 +24,7 @@ final class BaseStream(k: Int, m: Int) {
     val centers = new ArrayBuffer[Array[Double]](k + 1)
     def insert(p: Array[Double]): Unit = {
       val twoRSq = { val d = 2.0 * r; d * d }
-      if (centers.isEmpty || Points.sqDistToSet(p, centers.toArray) > twoRSq) {
+      if (!BaseStream.covered(p, centers, twoRSq)) {
         centers += p
         if (centers.length > k) { // guess falsified: double and re-insert
           val old = centers.toArray
@@ -69,6 +69,20 @@ final class BaseStream(k: Int, m: Int) {
 }
 
 object BaseStream {
+
+  /** Whether some center lies within squared distance `limitSq` of `p`: the
+    * buffer is scanned in place, each distance stops early past the limit,
+    * and the scan stops at the first center within it. False on no centers.
+    */
+  private[streaming] def covered(p: Array[Double], centers: ArrayBuffer[Array[Double]],
+                                 limitSq: Double): Boolean = {
+    var i = 0
+    while (i < centers.length) {
+      if (Points.sqDistWithin(p, centers(i), limitSq) <= limitSq) return true
+      i += 1
+    }
+    false
+  }
 
   /** The m staggered radius guesses r0·2^{j/m} of both baselines, with r0 half
     * the smallest nonzero pairwise distance of the buffered `prefix`: a lower

@@ -104,4 +104,14 @@ class MRKCenterSpec extends SparkSpec {
     ds.unpersist()
     assert(res.centers.length == 50 && r > 0 && r.isFinite)
   }
+
+  test("an empty input fails with the driver's own error, with or without source partitions") {
+    import spark.implicits._
+    val noPartitions = spark.emptyDataset[DataPoint]
+    val emptyPartitions = toDS(TestData.uniform(40, 2, 1L)).filter(_.id < 0)
+    for (ds <- Seq(noPartitions, spark.createDataset(spark.sparkContext.emptyRDD[DataPoint]), emptyPartitions)) {
+      val e = intercept[IllegalArgumentException](MRKCenter.run(ds, 3, ell = 4, CoresetSpec.FixedSize(6)))
+      assert(e.getMessage.contains("empty input dataset"), e.getMessage)
+    }
+  }
 }

@@ -172,4 +172,14 @@ class MROutliersSpec extends SparkSpec {
     }
     ds.unpersist()
   }
+
+  test("an empty input fails with the driver's own error, with or without source partitions") {
+    import spark.implicits._
+    val noPartitions = spark.emptyDataset[DataPoint]
+    val emptyPartitions = toDS(TestData.uniform(40, 2, 1L)).filter(_.id < 0)
+    for (ds <- Seq(noPartitions, spark.createDataset(spark.sparkContext.emptyRDD[DataPoint]), emptyPartitions)) {
+      val e = intercept[IllegalArgumentException](MROutliers.run(ds, 3, 2, ell = 4, CoresetSpec.FixedSize(10), Partitioning.Random))
+      assert(e.getMessage.contains("empty input dataset"), e.getMessage)
+    }
+  }
 }

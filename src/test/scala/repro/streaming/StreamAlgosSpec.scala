@@ -2,6 +2,7 @@ package repro.streaming
 
 import repro.core.{ExactKCenter, Points}
 import repro.{SparkSpec, TestData}
+import scala.collection.mutable.ArrayBuffer
 
 /** CoresetStream and BaseStream (k-center without outliers, Fig. 3 actors). */
 class StreamAlgosSpec extends SparkSpec {
@@ -128,6 +129,59 @@ class StreamAlgosSpec extends SparkSpec {
                       Array(Double.PositiveInfinity, 2.0, 3.0), Array(1.0, 2.0, Double.NegativeInfinity)))
         intercept[IllegalArgumentException](a.update(bad))
       assert(a.pointsProcessed == after)
+    }
+  }
+
+  test("BaseStream.covered equals brute-force membership on a 2000-point stream (ties at the limit)") {
+    for (dim <- Seq(2, 19)) {
+      val (pts, _) = TestData.blobs(8, 250, dim, 21L, sep = 30.0, std = 4.0)
+      val centers = ArrayBuffer[Array[Double]]()
+      val rnd = new scala.util.Random(5L)
+      pts.zipWithIndex.foreach { case (p, i) =>
+        val tie = if (centers.isEmpty) 1.0 else Points.sqDist(p, centers(rnd.nextInt(centers.length)))
+        for (lim <- Seq(0.0, tie, math.nextDown(tie), 25.0, 400.0, Double.PositiveInfinity)) {
+          val brute = centers.exists(c => Points.sqDist(p, c) <= lim)
+          assert(BaseStream.covered(p, centers, lim) == brute, s"dim=$dim point=$i lim=$lim")
+        }
+        if (i % 50 == 0) centers += p
+      }
+    }
+  }
+
+  /** BaseStream with brute-force membership (every distance, in full) and
+    * the same prefix initialization: the reference for the in-place scan.
+    */
+  private def baseStreamReference(pts: Array[Array[Double]], k: Int, m: Int): Array[Array[Double]] = {
+    final class Instance(var r: Double) {
+      val centers = ArrayBuffer[Array[Double]]()
+      def insert(p: Array[Double]): Unit = {
+        val twoRSq = { val d = 2.0 * r; d * d }
+        if (centers.forall(c => Points.sqDist(p, c) > twoRSq)) {
+          centers += p
+          if (centers.length > k) {
+            val old = centers.toArray
+            centers.clear()
+            r *= 2.0
+            old.foreach(insert)
+          }
+        }
+      }
+    }
+    if (pts.length <= k) return pts
+    val instances = BaseStream.guesses(ArrayBuffer.from(pts.take(k + 1)), m).map(new Instance(_))
+    pts.foreach(p => instances.foreach(_.insert(p)))
+    instances.minBy(_.r).centers.toArray
+  }
+
+  test("BaseStream equals its brute-force membership reference on a 2000-point stream") {
+    for ((k, m) <- Seq((5, 1), (5, 4), (20, 8))) {
+      TestData.forSeeds(3) { s =>
+        val (pts, _) = TestData.blobs(10, 200, 5, s, sep = 40.0, std = 3.0)
+        val a = new BaseStream(k, m)
+        pts.foreach(a.update)
+        val bits = (cs: Array[Array[Double]]) => cs.toSeq.map(_.toSeq.map(java.lang.Double.doubleToRawLongBits))
+        assert(bits(a.result()) == bits(baseStreamReference(pts, k, m)), s"k=$k m=$m seed=$s")
+      }
     }
   }
 }
