@@ -141,6 +141,7 @@ object GMM {
     */
   def coresetByEpsilon(points: Array[Array[Double]], kBase: Int, eps: Double, firstIdx: Int = 0): Trace = {
     require(eps > 0 && eps <= 1, s"eps must be in (0,1], got $eps")
+    require(kBase >= 1, s"kBase must be at least 1, got $kBase")
     var rAtKBase = Double.NaN
     runWhile(points, firstIdx) { (done, r) =>
       if (done == kBase) rAtKBase = r
@@ -151,6 +152,23 @@ object GMM {
   /** Fixed-size coreset (the experiments fix τ = μ·(k[+z]) instead of ε). */
   def coresetBySize(points: Array[Array[Double]], tau: Int, firstIdx: Int = 0): Trace =
     runWhile(points, firstIdx)((done, _) => done >= tau)
+
+  /** The seed-derived first center of a run over `n` ≥ 1 points. */
+  private[core] def firstIndex(n: Int, seed: Long): Int = {
+    require(n > 0, "GMM needs a non-empty input")
+    math.floorMod(seed, n.toLong).toInt
+  }
+
+  /** The weighted GMM coreset that `spec` asks for, from the seed's first
+    * index: one per partition in MapReduce round 1, one of S sequentially.
+    */
+  def coreset(points: Array[Array[Double]], spec: CoresetSpec, seed: Long): Trace = {
+    val firstIdx = firstIndex(points.length, seed)
+    spec match {
+      case CoresetSpec.FixedSize(tau)       => coresetBySize(points, tau, firstIdx)
+      case CoresetSpec.Precision(eps, base) => coresetByEpsilon(points, base, eps, firstIdx)
+    }
+  }
 
   /** Attach proxy weights to any coreset: w_t = |{s : p(s) = t}| where p maps
     * each input point to its closest coreset point, the first on ties
@@ -165,5 +183,25 @@ object GMM {
       i += 1
     }
     coreset.zip(w).map { case (v, wt) => WeightedPoint(v, wt) }
+  }
+}
+
+/** How GMM stops when it builds a coreset ([[GMM.coreset]]). A bad spec is
+  * rejected where it is made, on the driver, not inside a Spark task.
+  */
+sealed trait CoresetSpec
+
+object CoresetSpec {
+  /** Fixed coreset size τ (experiments: τ = μ·k, μ·(k+z) or μ·(k+6z/ℓ)). */
+  final case class FixedSize(tau: Int) extends CoresetSpec {
+    require(tau >= 1, s"coreset size tau must be at least 1, got $tau")
+  }
+  /** The ε-stopping rule r(T^τ) ≤ (eps/2)·r(T^kBase) (theory sections):
+    * kBase = k for k-center, k+z (deterministic) or k+z' (randomized) with
+    * outliers, where eps is ε̂.
+    */
+  final case class Precision(eps: Double, kBase: Int) extends CoresetSpec {
+    require(eps > 0 && eps <= 1, s"eps must be in (0,1], got $eps")
+    require(kBase >= 1, s"kBase must be at least 1, got $kBase")
   }
 }

@@ -2,8 +2,9 @@ package repro.core
 
 /** The paper's "improved sequential algorithm" (end of Sec. 3.2): the 2-round
   * MapReduce algorithm for k-center with z outliers run at ℓ = 1, entirely in
-  * memory — build one weighted GMM coreset of the whole input (the trace
-  * weighs as it goes) and run the radius search + OutliersCluster on it.
+  * memory — build one weighted GMM coreset of the whole input
+  * ([[GMM.coreset]]) and solve on it with the radius search + OutliersCluster
+  * ([[Solve.outliers]]).
   *
   * Running time O(|S|·|T| + k·|T|²·log|T|) with |T| = (k+z)(24/ε)^D, versus
   * the O(k·|S|²·log|S|) of CharikarEtAl — this is what Fig. 8 measures.
@@ -12,56 +13,24 @@ package repro.core
   */
 object SeqCoresetOutliers {
 
-  /** `probes` come from the radius search. `optimumLowerBound` ≤ r*_{k,z}(S)
-    * is the larger of the search's r_{k+z}(T)/2 (see
-    * [[RadiusSearch.SearchResult]]) and, when the round-1 trace over S has at
-    * least k+z centers, half its radius after k+z centers: those centers and
-    * the farthest point are k+z+1 points pairwise at least that far apart, at
+  /** `optimumLowerBound` ≤ r*_{k,z}(S) is the larger of the search's
+    * r_{k+z}(T)/2 and, when the coreset's GMM trace over S has at least k+z
+    * centers, half its radius after k+z centers: those centers and the
+    * farthest point are k+z+1 points pairwise at least that far apart, at
     * least k+1 of them are inliers, and two inliers share an optimal center.
     * The second bound is what certifies μ = 1, whose coreset of k+z points
     * gives the search none.
     */
-  final case class Result(
-      centers: Array[Array[Double]],
-      radius: Double,
-      coresetSize: Int,
-      coresetMillis: Long,
-      searchMillis: Long,
-      probes: Int,
-      optimumLowerBound: Double,
-  )
-
-  /** Fixed-size variant (benches): coreset of exactly τ = μ(k+z) points. */
-  def runFixedSize(points: Array[Array[Double]], k: Int, z: Int, tau: Int,
-                   hatEps: Double = 0.05, seed: Long = 42L): Result = {
+  def run(points: Array[Array[Double]], k: Int, z: Int, spec: CoresetSpec,
+          hatEps: Double = 0.05, seed: Long = 42L): Solution = {
     val t0 = System.nanoTime()
-    solve(GMM.coresetBySize(points, tau, firstIndex(points, seed)), k, z, hatEps, seed, t0)
-  }
-
-  /** ε-driven variant (theory): stopping rule of Sec. 3.2 with base k+z. */
-  def runByEpsilon(points: Array[Array[Double]], k: Int, z: Int,
-                   hatEps: Double, seed: Long = 42L): Result = {
-    val t0 = System.nanoTime()
-    solve(GMM.coresetByEpsilon(points, k + z, hatEps, firstIndex(points, seed)), k, z, hatEps, seed, t0)
-  }
-
-  /** The seed-derived first GMM center; rejects an empty input first, which
-    * would otherwise fail here as a division by zero.
-    */
-  private def firstIndex(points: Array[Array[Double]], seed: Long): Int = {
-    require(points.nonEmpty, "the sequential coreset algorithm needs a non-empty input")
-    math.floorMod(seed, points.length.toLong).toInt
-  }
-
-  /** Runs the radius search on the weighted round-1 `trace` (started at `t0`). */
-  private def solve(trace: GMM.Trace, k: Int, z: Int,
-                    hatEps: Double, seed: Long, t0: Long): Result = {
+    val trace = GMM.coreset(points, spec, seed)
     val weighted = trace.weighted
-    val t1 = System.nanoTime()
-    val sr = RadiusSearch.search(weighted, k, z.toLong, hatEps, seed)
-    val t2 = System.nanoTime()
-    val traceBound = if (trace.size >= k + z) trace.radiusAfter(k + z - 1) / 2 else 0.0
-    Result(sr.clustering.centers, sr.radius, weighted.length, (t1 - t0) / 1000000, (t2 - t1) / 1000000,
-           sr.probes, math.max(sr.optimumLowerBound, traceBound))
+    val traceBound = trace.radiusAfter.lift(k + z - 1).fold(0.0)(_ / 2)
+    Solve.outliers(weighted, k, z, hatEps, seed, (System.nanoTime() - t0) / 1000000, traceBound)
   }
+
+  // perfbench reads this name (QualitySpec); it goes when perfbench reads the run report (ROADMAP item 5).
+  def runFixedSize(points: Array[Array[Double]], k: Int, z: Int, tau: Int, hatEps: Double = 0.05,
+                   seed: Long = 42L): Solution = run(points, k, z, CoresetSpec.FixedSize(tau), hatEps, seed)
 }

@@ -1,9 +1,10 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.core.CoresetSpec
 import repro.data.Datasets
 import repro.eval.Evaluate
-import repro.mr.{CoresetSpec, MRKCenter}
+import repro.mr.MRKCenter
 
 /** Experiment of Fig. 2: approximation ratio of the MapReduce k-center
   * algorithm using coresets of size τ = μk per partition, μ ∈ {1,2,4,8},
@@ -29,7 +30,7 @@ object Fig2KCenter {
           val (res, ms) = Evaluate.timed(
             MRKCenter.run(ds, spec.k, ell, CoresetSpec.FixedSize(mu * spec.k), seed = seed))
           val radius = Evaluate.radiusDS(ds, res.centers)
-          (ell, mu, res.coresetUnionSize, radius, ms)
+          (ell, mu, res.coresetSize, radius, ms)
         }
       ds.unpersist()
       spec -> rows

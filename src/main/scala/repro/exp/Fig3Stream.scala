@@ -27,7 +27,7 @@ object Fig3Stream {
           val (space, kpts, centers) = algo match {
             case "CoresetStream" =>
               val a = new CoresetStream(spec.k, p)
-              (a.space, Sweep.throughput(stream)(a.update), a.result())
+              (a.space, Sweep.throughput(stream)(a.update), a.result().centers)
             case "BaseStream" =>
               val a = new BaseStream(spec.k, p)
               (a.space, Sweep.throughput(stream)(a.update), a.result())

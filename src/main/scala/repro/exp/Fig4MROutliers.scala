@@ -41,7 +41,7 @@ object Fig4MROutliers {
               MROutliers.runRandomized(ds, k, z, Ell, mu, seed = seed)
           }
           val radius = Evaluate.radiusWithOutliersDS(ds, res.centers, z)
-          (algo, mu, res.coresetUnionSize, radius, res.round1Millis + res.round2Millis,
+          (algo, mu, res.coresetSize, radius, res.round1Millis + res.round2Millis,
            radius / res.optimumLowerBound)
         }
       ds.unpersist()

@@ -1,8 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
+import repro.core.CoresetSpec
 import repro.data.Datasets
-import repro.mr.{CoresetSpec, MROutliers, Partitioning}
+import repro.mr.{MROutliers, Partitioning}
 
 /** Experiment of Fig. 7: scalability with the number of processors of the
   * randomized MapReduce algorithm for k-center with z outliers. The size of

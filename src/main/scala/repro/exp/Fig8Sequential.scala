@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.core.{CharikarEtAl, SeqCoresetOutliers}
+import repro.core.{CharikarEtAl, CoresetSpec, SeqCoresetOutliers, Solution}
 import repro.data.Datasets
 import repro.eval.Evaluate
 
@@ -27,21 +27,16 @@ object Fig8Sequential {
     val out = for (spec <- cfg.specs) yield {
       val clean = Datasets.localPoints(spec, math.min(sampleN, cfg.nFor(spec)), cfg.seed)
       val (pts, _) = Datasets.withOutliers(clean, z, cfg.seed)
-      val algos = "CharikarEtAl" +: mus.map(mu => if (mu == 1) "MalkomesEtAl(mu=1)" else s"Coreset(mu=$mu)")
-      algos.map { algo =>
+      def coreset(mu: Int)(s: Array[Array[Double]], seed: Long): Solution =
+        SeqCoresetOutliers.run(s, k, z, CoresetSpec.FixedSize(mu * (k + z)), seed = seed)
+      val algos = ("CharikarEtAl", CharikarEtAl.run(_, k, z, _)) +:
+        mus.map(mu => (if (mu == 1) "MalkomesEtAl(mu=1)" else s"Coreset(mu=$mu)", coreset(mu) _))
+      algos.map { case (algo, solve) =>
         val reps = for (rep <- 1 to cfg.reps) yield {
           val rnd = new scala.util.Random(cfg.seed + 41L * rep)
           val stream = rnd.shuffle(pts.toSeq).toArray
-          algo match {
-            case "CharikarEtAl" =>
-              val (res, ms) = Evaluate.timed(CharikarEtAl.run(stream, k, z, seed = cfg.seed + rep))
-              (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z), res.optimumLowerBound)
-            case _ =>
-              val mu = if (algo.startsWith("Malkomes")) 1 else algo.stripPrefix("Coreset(mu=").stripSuffix(")").toInt
-              val (res, ms) = Evaluate.timed(
-                SeqCoresetOutliers.runFixedSize(stream, k, z, mu * (k + z), seed = cfg.seed + rep))
-              (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z), res.optimumLowerBound)
-          }
+          val (res, ms) = Evaluate.timed(solve(stream, cfg.seed + rep))
+          (ms, Evaluate.radiusWithOutliersLocal(pts, res.centers, z), res.optimumLowerBound)
         }
         Row(spec.name, algo, reps.map(_._1).sum / reps.size, reps.map(_._2).sum / reps.size,
             reps.map(r => r._2 / r._3).sum / reps.size)

@@ -1,48 +1,34 @@
 package repro.mr
 
 import org.apache.spark.sql.Dataset
-import repro.core.RadiusSearch
+import repro.core.{CoresetSpec, Solution, Solve}
 import repro.data.DataPoint
 
 /** 2-round MapReduce algorithms for k-center with z outliers (Sec. 3.2 and
   * 3.2.1).
   *
-  * Round 1: partition S into ℓ subsets; on each, GMM builds a coreset T_i
-  * (size τ = μ(k+z) deterministic / τ = μ(k+6z/ℓ) randomized in the
-  * experiments, or the ε̂-stopping rule with base k+z resp. k+z'), and every
-  * coreset point gets the *weight* of the input points it proxies. [[Round1]]
-  * does both in one GMM pass per partition of the routed RDD.
+  * Round 1 ([[Round1.union]]): partition S into ℓ subsets; on each, GMM
+  * builds a coreset T_i (size τ = μ(k+z) deterministic / τ = μ(k+6z/ℓ)
+  * randomized in the experiments, or the ε̂-stopping rule with base k+z resp.
+  * k+z'), and every coreset point gets the *weight* of the input points it
+  * proxies, in one GMM pass per partition of the routed RDD.
   *
-  * Round 2: the single reducer (driver) gathers T = ∪T_i and runs the
-  * (1+δ)-tolerant radius search driving OUTLIERSCLUSTER (core.RadiusSearch).
-  * (3+ε)-approximate (Theorem 2 / Corollary 3); deterministic μ = 1
-  * reproduces MalkomesEtAl [26].
+  * Round 2 ([[Solve.outliers]]): the single reducer (driver) gathers
+  * T = ∪T_i and runs the (1+δ)-tolerant radius search driving
+  * OUTLIERSCLUSTER. (3+ε)-approximate (Theorem 2 / Corollary 3);
+  * deterministic μ = 1 reproduces MalkomesEtAl [26].
   */
 object MROutliers {
 
-  /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
-    * the round-2 search; see [[RadiusSearch.SearchResult]].
-    */
-  final case class Result(
-      centers: Array[Array[Double]],
-      searchRadius: Double,
-      coresetUnionSize: Int,
-      round1Millis: Long,
-      round2Millis: Long,
-      probes: Int,
-      optimumLowerBound: Double,
-  )
+  // perfbench reads this name; it goes when perfbench reads the run report (ROADMAP item 5).
+  type Result = Solution
 
   /** The generic 2-round run: caller picks partitioning and coreset spec. */
   def run(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, spec: CoresetSpec,
-          partitioning: Partitioning, hatEps: Double = 0.05, seed: Long = 42L): Result = {
+          partitioning: Partitioning, hatEps: Double = 0.05, seed: Long = 42L): Solution = {
     val t0 = System.nanoTime()
     val union = Round1.union(ds, ell, spec, partitioning, seed)
-    val t1 = System.nanoTime()
-    val sr = RadiusSearch.search(union, k, z.toLong, hatEps, seed)
-    val t2 = System.nanoTime()
-    Result(sr.clustering.centers, sr.radius, union.length,
-           (t1 - t0) / 1000000, (t2 - t1) / 1000000, sr.probes, sr.optimumLowerBound)
+    Solve.outliers(union, k, z, hatEps, seed, (System.nanoTime() - t0) / 1000000)
   }
 
   /** Deterministic algorithm (Sec. 3.2), experiment parametrization:
@@ -50,7 +36,7 @@ object MROutliers {
     */
   def runDeterministic(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, mu: Int,
                        partitioning: Partitioning = Partitioning.Arbitrary,
-                       hatEps: Double = 0.05, seed: Long = 42L): Result =
+                       hatEps: Double = 0.05, seed: Long = 42L): Solution =
     run(ds, k, z, ell, CoresetSpec.FixedSize(mu * (k + z)), partitioning, hatEps, seed)
 
   /** Randomized algorithm (Sec. 3.2.1), experiment parametrization: random
@@ -58,7 +44,7 @@ object MROutliers {
     * partition (log factor dropped, as in the paper's experiments).
     */
   def runRandomized(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, mu: Int,
-                    hatEps: Double = 0.05, seed: Long = 42L): Result = {
+                    hatEps: Double = 0.05, seed: Long = 42L): Solution = {
     val tau = mu * (k + (6 * z + ell - 1) / ell)
     run(ds, k, z, ell, CoresetSpec.FixedSize(tau), Partitioning.Random, hatEps, seed)
   }

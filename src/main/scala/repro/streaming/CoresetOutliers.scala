@@ -1,13 +1,14 @@
 package repro.streaming
 
-import repro.core.{RadiusSearch, WeightedPoint}
+import repro.core.{Solution, Solve}
 
 /** CORESETOUTLIERS (Sec. 4; Fig. 5): the paper's 1-pass Streaming algorithm
   * for k-center with z outliers — a weighted [[DoublingCoreset]] of
-  * τ = μ·(k+z) points collected during the pass, then the radius search
-  * driving OUTLIERSCLUSTER on the coreset at stream end, exactly as in the
-  * second MapReduce round. (3+ε)-approximate for τ = (k+z)(16/ε̂)^D
-  * (Theorem 3); the experiments parametrize by space μ(k+z) directly.
+  * τ = μ·(k+z) points collected during the pass, then at stream end the
+  * solve step of the second MapReduce round ([[Solve.outliers]]: the radius
+  * search driving OUTLIERSCLUSTER) on the coreset. (3+ε)-approximate for
+  * τ = (k+z)(16/ε̂)^D (Theorem 3); the experiments parametrize by space
+  * μ(k+z) directly.
   */
 final class CoresetOutliers(k: Int, z: Int, mu: Int, hatEps: Double = 0.05, seed: Long = 42L) {
   require(k >= 1 && z >= 0 && mu >= 1)
@@ -16,18 +17,6 @@ final class CoresetOutliers(k: Int, z: Int, mu: Int, hatEps: Double = 0.05, seed
 
   def update(p: Array[Double]): Unit = coreset.update(p)
 
-  /** End-of-pass solve: radius search + OutliersCluster on the coreset. */
-  def result(): CoresetOutliers.Solution = {
-    val t: Array[WeightedPoint] = coreset.result()
-    val sr = RadiusSearch.search(t, k, z.toLong, hatEps, seed)
-    CoresetOutliers.Solution(sr.clustering.centers, sr.radius, t.length, sr.probes, sr.optimumLowerBound)
-  }
-}
-
-object CoresetOutliers {
-  /** `probes` and `optimumLowerBound` (r_{k+z}(T)/2 ≤ r*_{k,z}(S)) come from
-    * the end-of-stream search; see [[RadiusSearch.SearchResult]].
-    */
-  final case class Solution(centers: Array[Array[Double]], searchRadius: Double, coresetSize: Int,
-                            probes: Int, optimumLowerBound: Double)
+  /** End-of-pass solve on the coreset; the pass itself is not timed. */
+  def result(): Solution = Solve.outliers(coreset.result(), k, z, hatEps, seed, round1Millis = 0L)
 }

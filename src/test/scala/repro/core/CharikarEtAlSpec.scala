@@ -50,7 +50,7 @@ class CharikarEtAlSpec extends SparkSpec {
   test("radius field matches a feasible OutliersCluster run") {
     val pts = TestData.uniform(25, 2, 11L)
     val res = CharikarEtAl.run(pts, 3, 3)
-    val w = OutliersCluster.run(pts.map(WeightedPoint(_, 1L)), 3, res.radius, 0.0).uncoveredWeight
+    val w = OutliersCluster.run(pts.map(WeightedPoint(_, 1L)), 3, res.searchRadius, 0.0).uncoveredWeight
     assert(w <= 3)
   }
 }

@@ -118,6 +118,20 @@ class GMMSpec extends SparkSpec {
     intercept[IllegalArgumentException](GMM.coresetByEpsilon(pts, 2, 1.5))
   }
 
+  test("coresetByEpsilon rejects kBase < 1 (the stopping rule would never fire)") {
+    val pts = TestData.uniform(50, 2, 1L)
+    intercept[IllegalArgumentException](GMM.coresetByEpsilon(pts, 0, 0.5))
+  }
+
+  test("coreset specs reject tau < 1, kBase < 1 and eps outside (0,1] where they are made") {
+    for (tau <- Seq(0, -3)) intercept[IllegalArgumentException](CoresetSpec.FixedSize(tau))
+    for ((eps, kBase) <- Seq((0.5, 0), (0.5, -1), (0.0, 4), (1.5, 4), (Double.NaN, 4)))
+      intercept[IllegalArgumentException](CoresetSpec.Precision(eps, kBase))
+    val pts = TestData.uniform(50, 2, 1L)
+    assert(GMM.coreset(pts, CoresetSpec.FixedSize(1), 3L).size == 1)
+    assert(GMM.coreset(pts, CoresetSpec.Precision(1.0, 1), 3L).size >= 1)
+  }
+
   test("runWhile on empty input throws") {
     intercept[IllegalArgumentException](GMM.run(Array.empty[Array[Double]], 3))
   }

@@ -49,7 +49,7 @@ class InvariantsSpec extends SparkSpec {
       val pts = TestData.uniform(40, 2, s)
       // tau = n: the coreset IS the input (unit weights), so the search
       // solves the same instance CharikarEtAl solves (modulo eps-hat).
-      val full = SeqCoresetOutliers.runFixedSize(pts, 3, 4, tau = pts.length, hatEps = 0.0, seed = s)
+      val full = SeqCoresetOutliers.run(pts, 3, 4, CoresetSpec.FixedSize(pts.length), hatEps = 0.0, seed = s)
       val base = CharikarEtAl.run(pts, 3, 4, seed = s)
       val rFull = Points.radiusWithOutliers(pts, full.centers, 4)
       val rBase = Points.radiusWithOutliers(pts, base.centers, 4)

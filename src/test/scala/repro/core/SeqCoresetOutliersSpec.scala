@@ -4,22 +4,24 @@ import repro.{SparkSpec, TestData}
 
 class SeqCoresetOutliersSpec extends SparkSpec {
 
+  private def fixed(tau: Int) = CoresetSpec.FixedSize(tau)
+
   test("fixed-size run uses exactly tau coreset points") {
     val pts = TestData.uniform(200, 3, 1L)
-    val res = SeqCoresetOutliers.runFixedSize(pts, 3, 5, tau = 24)
+    val res = SeqCoresetOutliers.run(pts, 3, 5, fixed(24))
     assert(res.coresetSize == 24)
   }
 
   test("an empty input is rejected with an IllegalArgumentException") {
     val none = Array.empty[Array[Double]]
-    intercept[IllegalArgumentException](SeqCoresetOutliers.runFixedSize(none, 2, 1, tau = 6))
-    intercept[IllegalArgumentException](SeqCoresetOutliers.runByEpsilon(none, 2, 1, hatEps = 0.5))
+    intercept[IllegalArgumentException](SeqCoresetOutliers.run(none, 2, 1, fixed(6)))
+    intercept[IllegalArgumentException](SeqCoresetOutliers.run(none, 2, 1, CoresetSpec.Precision(0.5, 3), hatEps = 0.5))
   }
 
   test("returns at most k centers") {
     TestData.forSeeds(5) { s =>
       val pts = TestData.uniform(100, 3, s)
-      val res = SeqCoresetOutliers.runFixedSize(pts, 4, 6, tau = 40)
+      val res = SeqCoresetOutliers.run(pts, 4, 6, fixed(40))
       assert(res.centers.length <= 4)
     }
   }
@@ -28,7 +30,7 @@ class SeqCoresetOutliersSpec extends SparkSpec {
     val (pts0, _) = TestData.blobs(4, 60, 3, 5L, sep = 200.0, std = 1.0)
     val pts = pts0 ++ Array(Array(1e5, 0.0, 0.0), Array(-1e5, 0.0, 0.0))
     val z = 2; val k = 4
-    val ours = SeqCoresetOutliers.runFixedSize(pts, k, z, tau = 8 * (k + z))
+    val ours = SeqCoresetOutliers.run(pts, k, z, fixed(8 * (k + z)))
     val base = CharikarEtAl.run(pts, k, z)
     val rOurs = Points.radiusWithOutliers(pts, ours.centers, z)
     val rBase = Points.radiusWithOutliers(pts, base.centers, z)
@@ -41,7 +43,7 @@ class SeqCoresetOutliersSpec extends SparkSpec {
     val k = 5; val z = 4
     val radii = Seq(1, 8).map { mu =>
       val rs = TestData.forSeedsCollect(5) { s =>
-        val res = SeqCoresetOutliers.runFixedSize(pts, k, z, mu * (k + z), seed = s)
+        val res = SeqCoresetOutliers.run(pts, k, z, fixed(mu * (k + z)), seed = s)
         Points.radiusWithOutliers(pts, res.centers, z)
       }
       rs.sum / rs.size
@@ -51,7 +53,7 @@ class SeqCoresetOutliersSpec extends SparkSpec {
 
   test("epsilon-driven run meets the stopping rule and covers") {
     val pts = TestData.uniform(300, 2, 3L)
-    val res = SeqCoresetOutliers.runByEpsilon(pts, 3, 5, hatEps = 0.5)
+    val res = SeqCoresetOutliers.run(pts, 3, 5, CoresetSpec.Precision(0.5, 3 + 5), hatEps = 0.5)
     assert(res.coresetSize >= 8) // at least k+z
     assert(res.centers.nonEmpty)
   }
@@ -59,7 +61,7 @@ class SeqCoresetOutliersSpec extends SparkSpec {
   test("reports the search's probes and a certified lower bound on r*_{k,z}") {
     TestData.forSeeds(4) { s =>
       val pts = TestData.uniform(12, 2, s)
-      val res = SeqCoresetOutliers.runFixedSize(pts, 2, 2, tau = 8, seed = s)
+      val res = SeqCoresetOutliers.run(pts, 2, 2, fixed(8), seed = s)
       val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 2, 2)
       assert(res.probes >= 1 && res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12,
              s"seed=$s probes=${res.probes} bound=${res.optimumLowerBound} opt=$opt")
@@ -71,9 +73,10 @@ class SeqCoresetOutliersSpec extends SparkSpec {
       val pts = TestData.uniform(12, 2, s)
       for ((k, z) <- Seq((2, 2), (1, 3), (3, 1))) {
         val opt = ExactKCenter.optimalRadiusWithOutliers(pts, k, z)
-        val fixed = SeqCoresetOutliers.runFixedSize(pts, k, z, tau = k + z, seed = s)
-        assert(fixed.coresetSize == k + z)
-        for (res <- Seq(fixed, SeqCoresetOutliers.runByEpsilon(pts, k, z, hatEps = 1.0, seed = s)))
+        val byTau = SeqCoresetOutliers.run(pts, k, z, fixed(k + z), seed = s)
+        assert(byTau.coresetSize == k + z)
+        val byEps = SeqCoresetOutliers.run(pts, k, z, CoresetSpec.Precision(1.0, k + z), hatEps = 1.0, seed = s)
+        for (res <- Seq(byTau, byEps))
           assert(res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12,
                  s"seed=$s k=$k z=$z bound=${res.optimumLowerBound} opt=$opt")
       }
@@ -82,7 +85,7 @@ class SeqCoresetOutliersSpec extends SparkSpec {
 
   test("timings are recorded") {
     val pts = TestData.uniform(100, 2, 4L)
-    val res = SeqCoresetOutliers.runFixedSize(pts, 2, 3, tau = 20)
-    assert(res.coresetMillis >= 0 && res.searchMillis >= 0)
+    val res = SeqCoresetOutliers.run(pts, 2, 3, fixed(20))
+    assert(res.round1Millis >= 0 && res.round2Millis >= 0)
   }
 }

@@ -1,9 +1,8 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{GMM, Points, WeightedPoint}
+import repro.core.{CoresetSpec, GMM, Points, WeightedPoint}
 import repro.data.DataPoint
-import repro.mr.{CoresetSpec, Round1}
 import repro.{SparkSpec, TestData}
 
 /** Checks `Evaluate`'s radius functions (maps over the RDD) against a Spark
@@ -51,7 +50,7 @@ class EvaluateSpec extends SparkSpec {
 
   test("round-1 coreset weights sum to the input size") {
     val pts = TestData.uniform(500, 3, 4L)
-    val coreset: Array[WeightedPoint] = Round1.coreset(pts, CoresetSpec.FixedSize(25), 7L)
+    val coreset: Array[WeightedPoint] = GMM.coreset(pts, CoresetSpec.FixedSize(25), 7L).weighted
     assert(coreset.length == 25)
     assert(coreset.map(_.weight).sum == 500L)
   }

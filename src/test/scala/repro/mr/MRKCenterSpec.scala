@@ -1,6 +1,6 @@
 package repro.mr
 
-import repro.core.{ExactKCenter, GMM, Points}
+import repro.core.{CoresetSpec, ExactKCenter, GMM, Points}
 import repro.data.{DataPoint, Datasets}
 import repro.eval.Evaluate
 import repro.{SparkSpec, TestData}
@@ -23,13 +23,13 @@ class MRKCenterSpec extends SparkSpec {
   test("coreset union size is ell * tau when partitions are large enough") {
     val ds = toDS(TestData.uniform(1000, 3, 2L))
     val res = MRKCenter.run(ds, 5, ell = 4, CoresetSpec.FixedSize(20))
-    assert(res.coresetUnionSize == 80)
+    assert(res.coresetSize == 80)
   }
 
   test("coreset union caps at n when tau exceeds partition sizes") {
     val ds = toDS(TestData.uniform(40, 2, 3L))
     val res = MRKCenter.run(ds, 3, ell = 4, CoresetSpec.FixedSize(100))
-    assert(res.coresetUnionSize == 40)
+    assert(res.coresetSize == 40)
   }
 
   test("(2+eps) shape: solution within 4x optimum on tiny instances") {
@@ -44,6 +44,27 @@ class MRKCenterSpec extends SparkSpec {
       val opt = ExactKCenter.optimalRadius(pts, 3)
       assert(r <= 4.5 * opt + 1e-9, s"seed=$s r=$r opt=$opt")
     }
+  }
+
+  test("certifies r_k(T)/2 <= r*_k(S) and reports r_k(T) as its radius, at ell = 1 and 3") {
+    TestData.forSeeds(4) { s =>
+      val pts = TestData.uniform(14, 2, s)
+      val opt = ExactKCenter.optimalRadius(pts, 3)
+      for (ell <- Seq(1, 3)) {
+        val res = MRKCenter.run(toDS(pts), 3, ell, CoresetSpec.FixedSize(4), seed = s)
+        val clue = s"seed=$s ell=$ell bound=${res.optimumLowerBound} opt=$opt"
+        assert(res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12, clue)
+        assert(res.searchRadius == 2 * res.optimumLowerBound && res.probes == 0, clue)
+        assert(res.searchRadius <= Points.radius(pts, res.centers) + 1e-12, clue)
+      }
+    }
+  }
+
+  test("rejects k < 1 and a coreset spec with tau < 1 with an IllegalArgumentException") {
+    val ds = toDS(TestData.uniform(50, 2, 1L))
+    intercept[IllegalArgumentException](MRKCenter.run(ds, 0, ell = 2, CoresetSpec.FixedSize(6)))
+    for (tau <- Seq(0, -3))
+      intercept[IllegalArgumentException](MRKCenter.run(ds, 3, ell = 2, CoresetSpec.FixedSize(tau)))
   }
 
   test("precision spec meets Theorem 1 bound on blobs") {

@@ -1,6 +1,6 @@
 package repro.mr
 
-import repro.core.{ExactKCenter, GMM, Points, RadiusSearch, SeqCoresetOutliers}
+import repro.core.{CoresetSpec, ExactKCenter, GMM, Points, RadiusSearch, SeqCoresetOutliers}
 import repro.data.{DataPoint, Datasets}
 import repro.eval.Evaluate
 import repro.{SparkSpec, TestData}
@@ -23,19 +23,19 @@ class MROutliersSpec extends SparkSpec {
   test("deterministic coreset union is ell * mu * (k+z) on large partitions") {
     val ds = toDS(TestData.uniform(2000, 2, 2L))
     val res = MROutliers.runDeterministic(ds, 3, 7, ell = 4, mu = 2)
-    assert(res.coresetUnionSize == 4 * 2 * 10)
+    assert(res.coresetSize == 4 * 2 * 10)
   }
 
   test("randomized coreset union uses tau = mu*(k + ceil(6z/ell))") {
     val ds = toDS(TestData.uniform(2000, 2, 3L))
     val res = MROutliers.runRandomized(ds, 3, 8, ell = 4, mu = 1)
-    assert(res.coresetUnionSize == 4 * (3 + 12)) // ceil(48/4)=12
+    assert(res.coresetSize == 4 * (3 + 12)) // ceil(48/4)=12
   }
 
   test("weights of the union coreset sum to |S|") {
     val pts = TestData.uniform(900, 3, 4L)
-    // Inspect round 1 directly through the kernel.
-    val w = Round1.coreset(pts, CoresetSpec.FixedSize(30), 5L)
+    // Inspect round 1 directly through the coreset builder.
+    val w = GMM.coreset(pts, CoresetSpec.FixedSize(30), 5L).weighted
     assert(w.map(_.weight).sum == 900L)
   }
 
@@ -151,7 +151,7 @@ class MROutliersSpec extends SparkSpec {
       // The composed layers reproduce the driver's |T| and search radius.
       val res = MROutliers.run(ds, k, z, ell, CoresetSpec.FixedSize(tau), partitioning, seed = seed)
       val sr = RadiusSearch.search(composed, k, z.toLong, 0.05, seed)
-      assert(res.coresetUnionSize == composed.length && res.searchRadius == sr.radius, clue)
+      assert(res.coresetSize == composed.length && res.searchRadius == sr.radius, clue)
     }
     ds.unpersist()
   }
@@ -160,14 +160,15 @@ class MROutliersSpec extends SparkSpec {
     val (clean, _) = TestData.blobs(4, 60, 3, 12L, sep = 200.0, std = 2.0)
     val (pts, flags) = Datasets.withOutliers(clean, 12, 12L)
     val ds = toDS(pts, flags).cache()
-    for (partitioning <- partitionings; (k, z, mu) <- Seq((3, 4, 1), (3, 4, 4), (5, 10, 2))) {
+    val cases = Seq((3, 4, CoresetSpec.FixedSize(7)), (3, 4, CoresetSpec.FixedSize(28)),
+                    (5, 10, CoresetSpec.FixedSize(30)), (3, 4, CoresetSpec.Precision(0.5, 7)))
+    for (partitioning <- partitionings; (k, z, spec) <- cases) {
       TestData.forSeeds(6) { s =>
-        val tau = mu * (k + z)
-        val mr = MROutliers.run(ds, k, z, 1, CoresetSpec.FixedSize(tau), partitioning, seed = s)
-        val seq = SeqCoresetOutliers.runFixedSize(pts, k, z, tau, seed = s)
-        val clue = s"$partitioning k=$k z=$z mu=$mu seed=$s"
+        val mr = MROutliers.run(ds, k, z, 1, spec, partitioning, seed = s)
+        val seq = SeqCoresetOutliers.run(pts, k, z, spec, seed = s)
+        val clue = s"$partitioning k=$k z=$z $spec seed=$s"
         assert(mr.centers.map(bits).toSeq == seq.centers.map(bits).toSeq, clue)
-        assert(mr.searchRadius == seq.radius && mr.coresetUnionSize == seq.coresetSize, clue)
+        assert(mr.searchRadius == seq.searchRadius && mr.coresetSize == seq.coresetSize, clue)
       }
     }
     ds.unpersist()

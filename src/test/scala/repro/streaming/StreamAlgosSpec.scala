@@ -12,7 +12,7 @@ class StreamAlgosSpec extends SparkSpec {
       val pts = TestData.uniform(300, 3, s)
       val a = new CoresetStream(4, 2)
       pts.foreach(a.update)
-      assert(a.result().length <= 4)
+      assert(a.result().centers.length <= 4)
     }
   }
 
@@ -26,7 +26,7 @@ class StreamAlgosSpec extends SparkSpec {
       val k = 3
       val a = new CoresetStream(k, 8)
       pts.foreach(a.update)
-      val r = Points.radius(pts, a.result())
+      val r = Points.radius(pts, a.result().centers)
       val opt = ExactKCenter.optimalRadius(pts, k)
       // 2-approx GMM on an 8*phi-grained coreset; generous constant guard.
       assert(r <= 20 * opt + 1e-9, s"seed=$s r=$r opt=$opt")
@@ -37,7 +37,7 @@ class StreamAlgosSpec extends SparkSpec {
     val (pts, _) = TestData.blobs(4, 80, 3, 2L, sep = 5000.0, std = 1.0)
     val a = new CoresetStream(4, 4)
     pts.foreach(a.update)
-    assert(Points.radius(pts, a.result()) < 100.0)
+    assert(Points.radius(pts, a.result().centers) < 100.0)
   }
 
   test("CoresetStream larger mu does not hurt quality on blobs") {
@@ -45,7 +45,7 @@ class StreamAlgosSpec extends SparkSpec {
     def radiusFor(mu: Int): Double = {
       val a = new CoresetStream(5, mu)
       pts.foreach(a.update)
-      Points.radius(pts, a.result())
+      Points.radius(pts, a.result().centers)
     }
     assert(radiusFor(16) <= radiusFor(1) * 1.5 + 1e-9)
   }
@@ -54,7 +54,24 @@ class StreamAlgosSpec extends SparkSpec {
     val pts = TestData.uniform(3, 2, 1L)
     val a = new CoresetStream(5, 2)
     pts.foreach(a.update)
-    assert(a.result().length == 3)
+    val res = a.result()
+    assert(res.centers.length == 3 && res.searchRadius == 0 && res.optimumLowerBound == 0)
+    intercept[IllegalArgumentException](new CoresetStream(5, 2).result()) // an empty stream has no answer
+  }
+
+  test("CoresetStream certifies r_k(T)/2 <= r*_k(S) on tiny instances") {
+    val certified = TestData.forSeedsCollect(6) { s =>
+      val pts = TestData.uniform(14, 2, s)
+      val a = new CoresetStream(3, 2)
+      pts.foreach(a.update)
+      val res = a.result()
+      val opt = ExactKCenter.optimalRadius(pts, 3)
+      // The bound needs k+1 distinct coreset points; merges may leave fewer.
+      assert((res.optimumLowerBound > 0) == (res.coresetSize > 3) && res.optimumLowerBound <= opt + 1e-12,
+             s"seed=$s size=${res.coresetSize} bound=${res.optimumLowerBound} opt=$opt")
+      res.optimumLowerBound > 0
+    }
+    assert(certified.count(identity) >= 3, certified)
   }
 
   test("BaseStream returns at most k centers") {
