@@ -10,26 +10,14 @@ package repro.core
   */
 object ExactKCenter {
 
-  private def combinations(n: Int, k: Int): Iterator[Array[Int]] =
-    (0 until n).combinations(k).map(_.toArray)
-
-  /** Optimal radius r*_k(S). Cost: C(n,k)·n·k — keep n tiny. */
-  def optimalRadius(points: Array[Array[Double]], k: Int): Double = {
-    require(points.nonEmpty && k >= 1)
-    if (k >= points.length) return 0.0
-    combinations(points.length, k).map { idx =>
-      val centers = idx.map(points)
-      Points.radius(points, centers)
-    }.min
-  }
-
-  /** Optimal radius r*_{k,z}(S) for the formulation with z outliers. */
+  /** Optimal radius r*_{k,z}(S) for the formulation with z outliers; z = 0
+    * gives the plain k-center optimum r*_k(S). Cost: C(n,k)·n·k — keep n tiny.
+    */
   def optimalRadiusWithOutliers(points: Array[Array[Double]], k: Int, z: Int): Double = {
     require(points.nonEmpty && k >= 1 && z >= 0)
     if (k + z >= points.length) return 0.0
-    combinations(points.length, k).map { idx =>
-      val centers = idx.map(points)
-      Points.radiusWithOutliers(points, centers, z)
-    }.min
+    points.indices.combinations(k)
+      .map(idx => Points.radiusWithOutliers(points, idx.map(points).toArray, z))
+      .min
   }
 }

@@ -52,13 +52,12 @@ object GMM {
   /** Run GMM until `stop(iterationsDone, radiusSoFar)` returns true or the
     * radius reaches 0, so that duplicate inputs never become duplicate
     * centers. The first center is `points(firstIdx)` — the paper picks it
-    * arbitrarily; benches pass a seed-derived index so that runs are
+    * arbitrarily; [[coreset]] derives it from a seed so that runs are
     * reproducible yet shuffle-sensitive, as observed in Sec. 5.4. Rejects
     * mixed dimensions and non-finite coordinates: a NaN point would keep its
     * distance at `Double.MaxValue` and be re-selected for every later slot.
     */
-  def runWhile(points: Array[Array[Double]], firstIdx: Int)(stop: (Int, Double) => Boolean): Trace = {
-    require(points.nonEmpty, "GMM needs a non-empty input")
+  private def runWhile(points: Array[Array[Double]], firstIdx: Int)(stop: (Int, Double) => Boolean): Trace = {
     Points.requireUniform(points, "GMM input")
     val n = points.length
     val sqd = Array.fill(n)(Double.MaxValue)
@@ -70,7 +69,7 @@ object GMM {
     var toCenter = new Array[Double](16)
     var stamp = Array.fill(16)(-1)
     var skipped = 0L
-    var next = firstIdx % n
+    var next = firstIdx
     var continue = true
     while (continue) {
       val c = points(next)
@@ -131,44 +130,35 @@ object GMM {
   /** Point updates skipped by the triangle rule since start-up, for tests. */
   private[core] val prunedUpdates = new java.util.concurrent.atomic.AtomicLong
 
-  /** Plain GMM: k centers (or all points if |S| < k). */
-  def run(points: Array[Array[Double]], k: Int, firstIdx: Int = 0): Array[Array[Double]] =
-    runWhile(points, firstIdx)((done, _) => done >= k).centers
-
-  /** The paper's ε-driven coreset (Sec. 3.1/3.2): run at least `kBase`
-    * iterations, then continue until r(T^τ) ≤ (eps/2)·r(T^kBase).
-    * `kBase` is k for plain k-center, k+z (or k+z') for the outlier variants.
-    */
-  def coresetByEpsilon(points: Array[Array[Double]], kBase: Int, eps: Double, firstIdx: Int = 0): Trace = {
-    require(eps > 0 && eps <= 1, s"eps must be in (0,1], got $eps")
-    require(kBase >= 1, s"kBase must be at least 1, got $kBase")
-    var rAtKBase = Double.NaN
-    runWhile(points, firstIdx) { (done, r) =>
-      if (done == kBase) rAtKBase = r
-      done >= kBase && r <= (eps / 2.0) * rAtKBase
-    }
-  }
-
-  /** Fixed-size coreset (the experiments fix τ = μ·(k[+z]) instead of ε). */
-  def coresetBySize(points: Array[Array[Double]], tau: Int, firstIdx: Int = 0): Trace =
-    runWhile(points, firstIdx)((done, _) => done >= tau)
-
   /** The seed-derived first center of a run over `n` ≥ 1 points. */
-  private[core] def firstIndex(n: Int, seed: Long): Int = {
+  private def firstIndex(n: Int, seed: Long): Int = {
     require(n > 0, "GMM needs a non-empty input")
     math.floorMod(seed, n.toLong).toInt
   }
 
   /** The weighted GMM coreset that `spec` asks for, from the seed's first
-    * index: one per partition in MapReduce round 1, one of S sequentially.
+    * index: one per partition in MapReduce round 1, one of S sequentially,
+    * and the k (or k+z) centers of the solve step on T. `FixedSize(tau)`
+    * stops after τ centers. `Precision(eps, kBase)` is the paper's ε-driven
+    * coreset (Sec. 3.1/3.2): at least kBase centers, then on until
+    * r(T^τ) ≤ (eps/2)·r(T^kBase).
     */
   def coreset(points: Array[Array[Double]], spec: CoresetSpec, seed: Long): Trace = {
     val firstIdx = firstIndex(points.length, seed)
     spec match {
-      case CoresetSpec.FixedSize(tau)       => coresetBySize(points, tau, firstIdx)
-      case CoresetSpec.Precision(eps, base) => coresetByEpsilon(points, base, eps, firstIdx)
+      case CoresetSpec.FixedSize(tau) => runWhile(points, firstIdx)((done, _) => done >= tau)
+      case CoresetSpec.Precision(eps, kBase) =>
+        var rAtKBase = Double.NaN
+        runWhile(points, firstIdx) { (done, r) =>
+          if (done == kBase) rAtKBase = r
+          done >= kBase && r <= (eps / 2.0) * rAtKBase
+        }
     }
   }
+
+  // perfbench reads this name; it goes when perfbench reads the run report (ROADMAP item 5).
+  def coresetBySize(points: Array[Array[Double]], tau: Int, seed: Long): Trace =
+    coreset(points, CoresetSpec.FixedSize(tau), seed)
 
   /** Attach proxy weights to any coreset: w_t = |{s : p(s) = t}| where p maps
     * each input point to its closest coreset point, the first on ties

@@ -100,21 +100,12 @@ object Points {
     bi
   }
 
-  /** Radius of `points` w.r.t. centers `t`: r_T(S) = max_s d(s, T). */
-  def radius(points: IterableOnce[Array[Double]], t: Array[Array[Double]]): Double = {
-    var worst = 0.0
-    val it = points.iterator
-    while (it.hasNext) {
-      val d = sqDistToSet(it.next(), t)
-      if (d > worst) worst = d
-    }
-    math.sqrt(worst)
-  }
-
-  /** Radius of `points` w.r.t. `t` after discarding the `z` farthest points
-    * (the objective r_{T,Z_T}(S) of the k-center problem with z outliers).
+  /** Radius of `points` w.r.t. `t` after discarding the `z` ≥ 0 farthest
+    * points: the objective r_{T,Z_T}(S) of k-center with z outliers, and at
+    * z = 0 the k-center radius r_T(S) = max_s d(s, T). 0 on no points.
     */
   def radiusWithOutliers(points: Iterable[Array[Double]], t: Array[Array[Double]], z: Int): Double = {
+    require(z >= 0, s"need z >= 0 outliers, got z=$z")
     // Keep the z+1 largest squared distances in a min-heap; the smallest of
     // those survivors is the radius once the z largest are discarded.
     val heap = new java.util.PriorityQueue[java.lang.Double](math.max(1, z + 1))

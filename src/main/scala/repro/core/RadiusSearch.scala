@@ -58,7 +58,7 @@ object RadiusSearch {
     def probe(r: Double): OutliersCluster.Result =
       seeded(r, OutliersCluster.ballWeights(t, Array(OutliersCluster.innerSq(r, hatEps)))(0))
 
-    val trace = GMM.runWhile(t.map(_.vec), GMM.firstIndex(t.length, seed))((done, _) => done >= k + z)
+    val trace = GMM.coreset(t.map(_.vec), CoresetSpec.FixedSize(math.min(k + z, t.length.toLong).toInt), seed)
     val rKZ = if (trace.size >= k + z) trace.radiusAfter(trace.size - 1) else 0.0
     val lo = if (rKZ > 0.0) rKZ / (2.0 * spread) else {
       // Every point of T duplicates one of the trace's distinct points, so

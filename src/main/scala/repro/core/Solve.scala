@@ -48,7 +48,7 @@ object Solve {
   def kCenter(t: Array[Array[Double]], k: Int, seed: Long, round1Millis: Long): Solution = {
     require(k >= 1, s"need k >= 1, got k=$k")
     val t0 = System.nanoTime()
-    val trace = GMM.runWhile(t, GMM.firstIndex(t.length, seed))((done, _) => done >= k)
+    val trace = GMM.coreset(t, CoresetSpec.FixedSize(k), seed)
     val rK = trace.radiusAfter.last
     Solution(trace.centers, rK, t.length, round1Millis, (System.nanoTime() - t0) / 1000000, 0, rK / 2)
   }

@@ -4,33 +4,24 @@ import org.apache.spark.sql.Dataset
 import repro.core.Points
 import repro.data.DataPoint
 
-/** Shared measurement helpers for the experiment harness: radius objectives
-  * (local and distributed) and wall-clock timing.
+/** Shared measurement helpers for the experiment harness: the one radius
+  * objective r_{T,Z_T}(S), local and distributed, with z = 0 for plain
+  * k-center, and wall-clock timing.
   */
 object Evaluate {
 
-  /** r_T(S) on a Spark dataset (k-center objective). */
-  def radiusDS(ds: Dataset[DataPoint], centers: Array[Array[Double]]): Double = {
-    requireCenters(centers, ds.head(1).headOption.map(_.vec))
-    val bc = ds.sparkSession.sparkContext.broadcast(centers)
-    math.sqrt(ds.rdd.map(p => Points.sqDistToSet(p.vec, bc.value)).max())
-  }
-
-  /** r_{T,Z_T}(S) on a Spark dataset (z farthest points discarded). */
+  /** r_{T,Z_T}(S) on a Spark dataset (z ≥ 0 farthest points discarded; z = 0
+    * is the k-center radius r_T(S)); 0 on an empty dataset, as locally.
+    */
   def radiusWithOutliersDS(ds: Dataset[DataPoint], centers: Array[Array[Double]], z: Int): Double = {
+    require(z >= 0, s"need z >= 0 outliers, got z=$z")
     requireCenters(centers, ds.head(1).headOption.map(_.vec))
     val bc = ds.sparkSession.sparkContext.broadcast(centers)
     val top = ds.rdd.map(p => Points.sqDistToSet(p.vec, bc.value)).top(z + 1)
     if (top.isEmpty) 0.0 else math.sqrt(top.min)
   }
 
-  /** Local r_T(S). */
-  def radiusLocal(points: Array[Array[Double]], centers: Array[Array[Double]]): Double = {
-    requireCenters(centers, points.headOption)
-    Points.radius(points, centers)
-  }
-
-  /** Local r_{T,Z_T}(S). */
+  /** Local r_{T,Z_T}(S) ([[Points.radiusWithOutliers]]). */
   def radiusWithOutliersLocal(points: Array[Array[Double]], centers: Array[Array[Double]], z: Int): Double = {
     requireCenters(centers, points.headOption)
     Points.radiusWithOutliers(points, centers, z)

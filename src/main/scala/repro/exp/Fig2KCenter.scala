@@ -29,7 +29,7 @@ object Fig2KCenter {
           val seed = cfg.seed + 31L * rep
           val (res, ms) = Evaluate.timed(
             MRKCenter.run(ds, spec.k, ell, CoresetSpec.FixedSize(mu * spec.k), seed = seed))
-          val radius = Evaluate.radiusDS(ds, res.centers)
+          val radius = Evaluate.radiusWithOutliersDS(ds, res.centers, 0)
           (ell, mu, res.coresetSize, radius, ms)
         }
       ds.unpersist()

@@ -32,7 +32,7 @@ object Fig3Stream {
               val a = new BaseStream(spec.k, p)
               (a.space, Sweep.throughput(stream)(a.update), a.result())
           }
-          (algo, p, space, Evaluate.radiusLocal(pts, centers), kpts)
+          (algo, p, space, Evaluate.radiusWithOutliersLocal(pts, centers, 0), kpts)
         }
       spec -> rows
     }

@@ -26,6 +26,7 @@ object MROutliers {
   /** The generic 2-round run: caller picks partitioning and coreset spec. */
   def run(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, spec: CoresetSpec,
           partitioning: Partitioning, hatEps: Double = 0.05, seed: Long = 42L): Solution = {
+    Round1.requireParams(k, z, ell)
     val t0 = System.nanoTime()
     val union = Round1.union(ds, ell, spec, partitioning, seed)
     Solve.outliers(union, k, z, hatEps, seed, (System.nanoTime() - t0) / 1000000)
@@ -36,8 +37,10 @@ object MROutliers {
     */
   def runDeterministic(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, mu: Int,
                        partitioning: Partitioning = Partitioning.Arbitrary,
-                       hatEps: Double = 0.05, seed: Long = 42L): Solution =
+                       hatEps: Double = 0.05, seed: Long = 42L): Solution = {
+    Round1.requireParams(k, z, ell)
     run(ds, k, z, ell, CoresetSpec.FixedSize(mu * (k + z)), partitioning, hatEps, seed)
+  }
 
   /** Randomized algorithm (Sec. 3.2.1), experiment parametrization: random
     * partitioning and τ = μ(k + 6z/ℓ) — Lemma 7's bound on outliers per
@@ -45,6 +48,7 @@ object MROutliers {
     */
   def runRandomized(ds: Dataset[DataPoint], k: Int, z: Int, ell: Int, mu: Int,
                     hatEps: Double = 0.05, seed: Long = 42L): Solution = {
+    Round1.requireParams(k, z, ell)
     val tau = mu * (k + (6 * z + ell - 1) / ell)
     run(ds, k, z, ell, CoresetSpec.FixedSize(tau), Partitioning.Random, hatEps, seed)
   }

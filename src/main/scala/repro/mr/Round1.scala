@@ -11,6 +11,15 @@ import repro.data.DataPoint
   */
 object Round1 {
 
+  /** Rejects k < 1, z < 0 and ℓ < 1 on the driver, before any Spark job;
+    * the drivers call it first, ahead of the coreset sizes built from them.
+    */
+  private[mr] def requireParams(k: Int, z: Int, ell: Int): Unit = {
+    require(k >= 1, s"need k >= 1 centers, got k=$k")
+    require(z >= 0, s"need z >= 0 outliers, got z=$z")
+    require(ell >= 1, s"need ell >= 1 partitions, got ell=$ell")
+  }
+
   /** The union of the per-partition coresets, in partition order; an empty
     * partition contributes nothing.
     */

@@ -16,6 +16,27 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The ids of the Spark jobs that `body` started, read from a job group of
+    * its own. Status events reach the tracker in order on one queue, so once
+    * a later marker job is listed, every job of `body` is listed too.
+    */
+  def jobsStartedBy(body: => Any): Seq[Int] = {
+    val sc = spark.sparkContext
+    val group = s"jobs-${java.util.UUID.randomUUID}"
+    def inGroup(g: String)(f: => Any): Unit = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    inGroup(group)(body)
+    inGroup(s"$group-marker")(sc.parallelize(Seq(1), 1).count())
+    val deadline = System.nanoTime() + 10000000000L
+    while (sc.statusTracker.getJobIdsForGroup(s"$group-marker").isEmpty) {
+      assert(System.nanoTime() < deadline, "the status tracker never listed the marker job")
+      Thread.sleep(5)
+    }
+    sc.statusTracker.getJobIdsForGroup(group).toSeq
+  }
 }
 
 object SparkSpec {

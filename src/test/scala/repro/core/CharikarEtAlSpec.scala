@@ -35,8 +35,8 @@ class CharikarEtAlSpec extends SparkSpec {
     TestData.forSeeds(5) { s =>
       val pts = TestData.uniform(12, 2, s)
       val res = CharikarEtAl.run(pts, 3, 0)
-      val achieved = Points.radius(pts, res.centers)
-      val rStar = ExactKCenter.optimalRadius(pts, 3)
+      val achieved = Points.radiusWithOutliers(pts, res.centers, 0)
+      val rStar = ExactKCenter.optimalRadiusWithOutliers(pts, 3, 0)
       assert(achieved <= 3.0 * 1.01 * rStar + 1e-9)
     }
   }

@@ -15,7 +15,8 @@ class InvariantsSpec extends SparkSpec {
     TestData.forSeeds(8) { s =>
       val pts = TestData.uniform(12, 2, s)
       for (k <- 1 to 3)
-        assert(Points.radius(pts, GMM.run(pts, k)) >= ExactKCenter.optimalRadius(pts, k) - 1e-12)
+        assert(Points.radiusWithOutliers(pts, GMM.coreset(pts, CoresetSpec.FixedSize(k), 0L).centers, 0) >=
+               ExactKCenter.optimalRadiusWithOutliers(pts, k, 0) - 1e-12)
     }
   }
 
@@ -23,14 +24,14 @@ class InvariantsSpec extends SparkSpec {
     TestData.forSeeds(5) { s =>
       val pts = TestData.uniform(150, 3, s)
       val radii = Seq(5, 10, 20, 40).map(tau =>
-        Points.radius(pts, GMM.coresetBySize(pts, tau).centers))
+        Points.radiusWithOutliers(pts, GMM.coreset(pts, CoresetSpec.FixedSize(tau), 0L).centers, 0))
       radii.sliding(2).foreach { case Seq(a, b) => assert(b <= a + 1e-12, s"seed=$s $radii") }
     }
   }
 
   test("weighing a coreset never changes the vectors, only attaches weights") {
     val pts = TestData.uniform(60, 2, 1L)
-    val core = GMM.coresetBySize(pts, 8).centers
+    val core = GMM.coreset(pts, CoresetSpec.FixedSize(8), 0L).centers
     val weighted = GMM.weigh(pts, core)
     assert(weighted.map(_.vec.toSeq) sameElements core.map(_.toSeq))
   }

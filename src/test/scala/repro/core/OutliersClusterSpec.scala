@@ -225,7 +225,7 @@ class OutliersClusterSpec extends SparkSpec {
       // The radius search's grid over its certified bracket [lo, hi].
       val spread = 3 + 4 * eps
       val delta = eps / spread
-      val trace = GMM.runWhile(t.map(_.vec), 0)((done, _) => done >= k + z)
+      val trace = GMM.coreset(t.map(_.vec), CoresetSpec.FixedSize(k + z), 0L)
       val (lo, hi) = (trace.radiusAfter(k + z - 1) / (2 * spread), trace.radiusAfter(k - 1))
       val bigJ = math.ceil(math.log(hi / lo) / math.log1p(delta)).toInt
       val radii = (0 until bigJ).map(j => lo * math.pow(1 + delta, j)) :+ hi

@@ -93,20 +93,24 @@ class PointsSpec extends SparkSpec {
       val pts = TestData.uniform(30, 4, s)
       val cs = pts.take(3)
       val expected = pts.map(p => math.sqrt(Points.sqDistToSet(p, cs))).max
-      assert(math.abs(Points.radius(pts, cs) - expected) < 1e-9)
+      assert(math.abs(Points.radiusWithOutliers(pts, cs, 0) - expected) < 1e-9)
     }
   }
 
   test("radius is zero when every point is a center") {
     val pts = TestData.uniform(5, 2, 1L)
-    assert(Points.radius(pts, pts) == 0.0)
+    assert(Points.radiusWithOutliers(pts, pts, 0) == 0.0)
   }
 
   test("radiusWithOutliers(z=0) equals radius") {
     TestData.forSeeds(10) { s =>
       val pts = TestData.uniform(25, 3, s)
       val cs = pts.take(2)
-      assert(math.abs(Points.radiusWithOutliers(pts, cs, 0) - Points.radius(pts, cs)) < 1e-9)
+      // The largest distance, bit for bit: sqrt is monotone and correctly rounded.
+      val radius = pts.map(p => cs.map(Points.dist(p, _)).min).max
+      assert(Points.radiusWithOutliers(pts, cs, 0) == radius)
+      // z = -1 would read the z = 0 radius off an empty heap.
+      intercept[IllegalArgumentException](Points.radiusWithOutliers(pts, cs, -1))
     }
   }
 
@@ -132,7 +136,7 @@ class PointsSpec extends SparkSpec {
     val pts = TestData.uniform(20, 2, 5L, box = 1.0)
     val withOut = pts :+ Array(1e6, 1e6)
     val cs = pts.take(2)
-    assert(Points.radiusWithOutliers(withOut, cs, 1) <= Points.radius(pts, cs) + 1e-9)
+    assert(Points.radiusWithOutliers(withOut, cs, 1) <= Points.radiusWithOutliers(pts, cs, 0) + 1e-9)
   }
 
   test("WeightedPoint holds vector and weight") {

@@ -97,7 +97,7 @@ class RadiusSearchSpec extends SparkSpec {
     val sr = RadiusSearch.search(t, k, z.toLong, eps, seed)
     // The certified bracket of the same input: non-degenerate, so no r = 0 probe.
     val spread = 3 + 4 * eps
-    val trace = GMM.runWhile(t.map(_.vec), math.floorMod(seed, t.length.toLong).toInt)((done, _) => done >= k + z)
+    val trace = GMM.coreset(t.map(_.vec), CoresetSpec.FixedSize(k + z), seed)
     val (lo, hi) = (trace.radiusAfter(k + z - 1) / (2 * spread), trace.radiusAfter(k - 1))
     assert(lo > 0 && hi > lo)
     val bigJ = math.ceil(math.log(hi / lo) / math.log1p(eps / spread)).toInt

@@ -36,16 +36,17 @@ class EvaluateSpec extends SparkSpec {
   test("Evaluate.radiusDS matches the SQL radius") {
     import spark.implicits._
     val pts = TestData.uniform(150, 3, 2L)
-    val cs = GMM.run(pts, 5)
+    val cs = GMM.coreset(pts, CoresetSpec.FixedSize(5), 0L).centers
     val ds = spark.createDataset(pts.toSeq.zipWithIndex.map { case (v, i) =>
       DataPoint(i.toLong, v, isOutlier = false)
     })
     pointsDF(pts).createOrReplaceTempView("points")
     centersDF(cs).createOrReplaceTempView("centers")
     val viaSql = spark.sql(radiusSql).collect().head.getDouble(0)
-    val r = Evaluate.radiusDS(ds, cs)
+    val r = Evaluate.radiusWithOutliersDS(ds, cs, 0)
     assert(math.abs(r - viaSql) < 1e-9)
-    assert(r == Points.radius(pts, cs))
+    assert(r == math.sqrt(pts.map(Points.sqDistToSet(_, cs)).max))
+    assert(r == Evaluate.radiusWithOutliersLocal(pts, cs, 0))
   }
 
   test("round-1 coreset weights sum to the input size") {
@@ -59,7 +60,7 @@ class EvaluateSpec extends SparkSpec {
     import repro.data.DataPoint
     import spark.implicits._
     val pts = TestData.uniform(100, 3, 5L)
-    val cs = GMM.run(pts, 3)
+    val cs = GMM.coreset(pts, CoresetSpec.FixedSize(3), 0L).centers
     val ds = spark.createDataset(pts.toSeq.zipWithIndex.map { case (v, i) =>
       DataPoint(i.toLong, v, isOutlier = false)
     })
@@ -86,22 +87,35 @@ class EvaluateSpec extends SparkSpec {
 
   test("radiusDS rejects empty, mis-sized and non-finite centers") {
     val ds = pointsDS(TestData.uniform(30, 3, 6L))
-    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusDS(ds, cs)))
+    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusWithOutliersDS(ds, cs, 0)))
+  }
+
+  test("the objective is 0.0 on empty data, on Spark as locally, for every z") {
+    val empty = pointsDS(Array.empty[Array[Double]])
+    val cs = Array(Array(1.0, 2.0, 3.0))
+    for (z <- Seq(0, 3)) {
+      assert(Evaluate.radiusWithOutliersDS(empty, cs, z) == 0.0, s"z=$z")
+      assert(Evaluate.radiusWithOutliersLocal(Array.empty[Array[Double]], cs, z) == 0.0, s"z=$z")
+    }
   }
 
   test("radiusWithOutliersDS rejects empty, mis-sized and non-finite centers") {
     val ds = pointsDS(TestData.uniform(30, 3, 6L))
     badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusWithOutliersDS(ds, cs, 2)))
+    // z < 0 would run top(0) and read 0.0.
+    intercept[IllegalArgumentException](Evaluate.radiusWithOutliersDS(ds, Array(Array(1.0, 2.0, 3.0)), -1))
   }
 
   test("radiusLocal rejects empty, mis-sized and non-finite centers") {
     val pts = TestData.uniform(30, 3, 6L)
-    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusLocal(pts, cs)))
+    badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusWithOutliersLocal(pts, cs, 0)))
   }
 
   test("radiusWithOutliersLocal rejects empty, mis-sized and non-finite centers") {
     val pts = TestData.uniform(30, 3, 6L)
     badCenters.foreach(cs => intercept[IllegalArgumentException](Evaluate.radiusWithOutliersLocal(pts, cs, 2)))
+    // z < 0 would read the z = 0 radius off an empty heap.
+    intercept[IllegalArgumentException](Evaluate.radiusWithOutliersLocal(pts, Array(Array(1.0, 2.0, 3.0)), -1))
   }
 
   test("timed measures and returns the thunk result") {

@@ -40,8 +40,8 @@ class MRKCenterSpec extends SparkSpec {
       val pts = TestData.uniform(14, 2, s)
       val ds = toDS(pts)
       val res = MRKCenter.run(ds, 3, ell = 2, CoresetSpec.FixedSize(6), seed = s)
-      val r = Points.radius(pts, res.centers)
-      val opt = ExactKCenter.optimalRadius(pts, 3)
+      val r = Points.radiusWithOutliers(pts, res.centers, 0)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 3, 0)
       assert(r <= 4.5 * opt + 1e-9, s"seed=$s r=$r opt=$opt")
     }
   }
@@ -49,13 +49,13 @@ class MRKCenterSpec extends SparkSpec {
   test("certifies r_k(T)/2 <= r*_k(S) and reports r_k(T) as its radius, at ell = 1 and 3") {
     TestData.forSeeds(4) { s =>
       val pts = TestData.uniform(14, 2, s)
-      val opt = ExactKCenter.optimalRadius(pts, 3)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 3, 0)
       for (ell <- Seq(1, 3)) {
         val res = MRKCenter.run(toDS(pts), 3, ell, CoresetSpec.FixedSize(4), seed = s)
         val clue = s"seed=$s ell=$ell bound=${res.optimumLowerBound} opt=$opt"
         assert(res.optimumLowerBound > 0 && res.optimumLowerBound <= opt + 1e-12, clue)
         assert(res.searchRadius == 2 * res.optimumLowerBound && res.probes == 0, clue)
-        assert(res.searchRadius <= Points.radius(pts, res.centers) + 1e-12, clue)
+        assert(res.searchRadius <= Points.radiusWithOutliers(pts, res.centers, 0) + 1e-12, clue)
       }
     }
   }
@@ -67,11 +67,23 @@ class MRKCenterSpec extends SparkSpec {
       intercept[IllegalArgumentException](MRKCenter.run(ds, 3, ell = 2, CoresetSpec.FixedSize(tau)))
   }
 
+  test("rejects k < 1 and ell < 1 on the driver, naming the parameter, before any Spark job") {
+    val ds = toDS(TestData.uniform(50, 2, 1L))
+    for ((k, ell, name) <- Seq((0, 2, "k"), (-1, 2, "k"), (3, 0, "ell"), (3, -1, "ell"))) {
+      val jobs = jobsStartedBy {
+        val e = intercept[IllegalArgumentException](MRKCenter.run(ds, k, ell, CoresetSpec.FixedSize(6)))
+        assert(e.getMessage.contains(s"$name="), e.getMessage)
+      }
+      assert(jobs.isEmpty, s"k=$k ell=$ell started jobs ${jobs.mkString(",")}")
+    }
+    assert(jobsStartedBy(MRKCenter.run(ds, 3, 2, CoresetSpec.FixedSize(6))).nonEmpty) // the probe sees jobs
+  }
+
   test("precision spec meets Theorem 1 bound on blobs") {
     val (pts, _) = TestData.blobs(4, 100, 3, 4L, sep = 800.0, std = 1.0)
     val ds = toDS(pts)
     val res = MRKCenter.run(ds, 4, ell = 4, CoresetSpec.Precision(0.5, 4))
-    val r = Points.radius(pts, res.centers)
+    val r = Points.radiusWithOutliers(pts, res.centers, 0)
     assert(r < 20.0) // cluster scale; (2+eps) of ~sqrt(dim)*std
   }
 
@@ -80,11 +92,11 @@ class MRKCenterSpec extends SparkSpec {
     val ds = toDS(pts).coalesce(1)
     val res = MRKCenter.run(ds, 5, ell = 1, CoresetSpec.FixedSize(25), seed = 9L)
     // Sequential reference: same coreset spec on the whole input.
-    val core = GMM.coresetBySize(pts, 25, math.floorMod(9L, pts.length.toLong).toInt)
+    val core = GMM.coreset(pts, CoresetSpec.FixedSize(25), 9L)
     // Partition order may differ after repartition(1); compare radii not centers.
-    val seqCenters = GMM.run(core.centers, 5, math.floorMod(9L, 25L).toInt)
-    val rMr = Points.radius(pts, res.centers)
-    val rSeq = Points.radius(pts, seqCenters)
+    val seqCenters = GMM.coreset(core.centers, CoresetSpec.FixedSize(5), 9L).centers
+    val rMr = Points.radiusWithOutliers(pts, res.centers, 0)
+    val rSeq = Points.radiusWithOutliers(pts, seqCenters, 0)
     assert(math.abs(rMr - rSeq) <= math.max(rMr, rSeq) * 0.5 + 1e-9)
   }
 
@@ -94,7 +106,7 @@ class MRKCenterSpec extends SparkSpec {
     val rads = Seq(1, 8).map { mu =>
       val rs = TestData.forSeedsCollect(3) { s =>
         val res = MRKCenter.run(ds, 6, ell = 4, CoresetSpec.FixedSize(mu * 6), seed = s)
-        Points.radius(pts, res.centers)
+        Points.radiusWithOutliers(pts, res.centers, 0)
       }
       rs.sum / rs.size
     }
@@ -105,9 +117,9 @@ class MRKCenterSpec extends SparkSpec {
   test("radius helper agrees with the local radius computation") {
     val pts = TestData.uniform(200, 3, 7L)
     val ds = toDS(pts)
-    val centers = GMM.run(pts, 4)
-    val viaSpark = Evaluate.radiusDS(ds, centers)
-    val local = Points.radius(pts, centers)
+    val centers = GMM.coreset(pts, CoresetSpec.FixedSize(4), 0L).centers
+    val viaSpark = Evaluate.radiusWithOutliersDS(ds, centers, 0)
+    val local = Points.radiusWithOutliers(pts, centers, 0)
     assert(math.abs(viaSpark - local) < 1e-9)
   }
 
@@ -121,7 +133,7 @@ class MRKCenterSpec extends SparkSpec {
     val ds = Datasets.points(spark, Datasets.higgsLike, 800L, 11L).cache()
     val res = MRKCenter.run(ds, Datasets.higgsLike.k, ell = 4,
                             CoresetSpec.FixedSize(Datasets.higgsLike.k))
-    val r = Evaluate.radiusDS(ds, res.centers)
+    val r = Evaluate.radiusWithOutliersDS(ds, res.centers, 0)
     ds.unpersist()
     assert(res.centers.length == 50 && r > 0 && r.isFinite)
   }

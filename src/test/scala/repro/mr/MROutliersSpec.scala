@@ -174,6 +174,24 @@ class MROutliersSpec extends SparkSpec {
     ds.unpersist()
   }
 
+  test("rejects k < 1, z < 0 and ell < 1 on the driver, naming the parameter, before any Spark job") {
+    val ds = toDS(TestData.uniform(50, 2, 1L))
+    val bad = Seq((0, 2, 2, "k"), (3, -1, 2, "z"), (3, 2, 0, "ell"), (3, 2, -1, "ell"))
+    val drivers = Seq[(String, (Int, Int, Int) => Any)](
+      "run" -> ((k, z, ell) => MROutliers.run(ds, k, z, ell, CoresetSpec.FixedSize(10), Partitioning.Arbitrary)),
+      "runDeterministic" -> ((k, z, ell) => MROutliers.runDeterministic(ds, k, z, ell, mu = 1)),
+      "runRandomized" -> ((k, z, ell) => MROutliers.runRandomized(ds, k, z, ell, mu = 1)))
+    for ((k, z, ell, name) <- bad; (driver, f) <- drivers) {
+      val clue = s"$driver k=$k z=$z ell=$ell"
+      val jobs = jobsStartedBy {
+        val e = intercept[IllegalArgumentException](f(k, z, ell))
+        assert(e.getMessage.contains(s"$name="), s"$clue: ${e.getMessage}")
+      }
+      assert(jobs.isEmpty, s"$clue started jobs ${jobs.mkString(",")}")
+    }
+    assert(jobsStartedBy(MROutliers.runRandomized(ds, 3, 2, 2, mu = 1)).nonEmpty) // the probe sees jobs
+  }
+
   test("an empty input fails with the driver's own error, with or without source partitions") {
     import spark.implicits._
     val noPartitions = spark.emptyDataset[DataPoint]

@@ -270,7 +270,7 @@ class DoublingCoresetSpec extends SparkSpec {
       val dc = new DoublingCoreset(tau)
       pts.foreach(dc.update)
       if (dc.phi > 0)
-        assert(dc.phi <= 2 * ExactKCenter.optimalRadius(pts, tau) + 1e-9, s"seed=$s")
+        assert(dc.phi <= 2 * ExactKCenter.optimalRadiusWithOutliers(pts, tau, 0) + 1e-9, s"seed=$s")
     }
   }
 
@@ -313,7 +313,7 @@ class DoublingCoresetSpec extends SparkSpec {
       val tau = 30
       val dc = new DoublingCoreset(tau)
       pts.foreach(dc.update)
-      val r = Points.radius(pts, dc.result().map(_.vec))
+      val r = Points.radiusWithOutliers(pts, dc.result().map(_.vec), 0)
       assert(r <= 8 * dc.phi + 1e-9)
     }
   }

@@ -26,8 +26,8 @@ class StreamAlgosSpec extends SparkSpec {
       val k = 3
       val a = new CoresetStream(k, 8)
       pts.foreach(a.update)
-      val r = Points.radius(pts, a.result().centers)
-      val opt = ExactKCenter.optimalRadius(pts, k)
+      val r = Points.radiusWithOutliers(pts, a.result().centers, 0)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, k, 0)
       // 2-approx GMM on an 8*phi-grained coreset; generous constant guard.
       assert(r <= 20 * opt + 1e-9, s"seed=$s r=$r opt=$opt")
     }
@@ -37,7 +37,7 @@ class StreamAlgosSpec extends SparkSpec {
     val (pts, _) = TestData.blobs(4, 80, 3, 2L, sep = 5000.0, std = 1.0)
     val a = new CoresetStream(4, 4)
     pts.foreach(a.update)
-    assert(Points.radius(pts, a.result().centers) < 100.0)
+    assert(Points.radiusWithOutliers(pts, a.result().centers, 0) < 100.0)
   }
 
   test("CoresetStream larger mu does not hurt quality on blobs") {
@@ -45,7 +45,7 @@ class StreamAlgosSpec extends SparkSpec {
     def radiusFor(mu: Int): Double = {
       val a = new CoresetStream(5, mu)
       pts.foreach(a.update)
-      Points.radius(pts, a.result().centers)
+      Points.radiusWithOutliers(pts, a.result().centers, 0)
     }
     assert(radiusFor(16) <= radiusFor(1) * 1.5 + 1e-9)
   }
@@ -65,7 +65,7 @@ class StreamAlgosSpec extends SparkSpec {
       val a = new CoresetStream(3, 2)
       pts.foreach(a.update)
       val res = a.result()
-      val opt = ExactKCenter.optimalRadius(pts, 3)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, 3, 0)
       // The bound needs k+1 distinct coreset points; merges may leave fewer.
       assert((res.optimumLowerBound > 0) == (res.coresetSize > 3) && res.optimumLowerBound <= opt + 1e-12,
              s"seed=$s size=${res.coresetSize} bound=${res.optimumLowerBound} opt=$opt")
@@ -97,8 +97,8 @@ class StreamAlgosSpec extends SparkSpec {
       // The chosen instance's guess r admits coverage <= 2r by construction;
       // all points must be within that of the surviving centers.
       assert(centers.nonEmpty)
-      val r = Points.radius(pts, centers)
-      val opt = ExactKCenter.optimalRadius(pts.take(15), 3) // scale sanity only
+      val r = Points.radiusWithOutliers(pts, centers, 0)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts.take(15), 3, 0) // scale sanity only
       assert(r.isFinite && r >= 0 && opt.isFinite)
     }
   }
@@ -109,8 +109,8 @@ class StreamAlgosSpec extends SparkSpec {
       val k = 3
       val a = new BaseStream(k, 8)
       pts.foreach(a.update)
-      val r = Points.radius(pts, a.result())
-      val opt = ExactKCenter.optimalRadius(pts, k)
+      val r = Points.radiusWithOutliers(pts, a.result(), 0)
+      val opt = ExactKCenter.optimalRadiusWithOutliers(pts, k, 0)
       assert(r <= 8 * opt + 1e-9, s"seed=$s r=$r opt=$opt") // 2(1+eps) theory + restart slack
     }
   }
@@ -119,7 +119,7 @@ class StreamAlgosSpec extends SparkSpec {
     val (pts, _) = TestData.blobs(4, 80, 3, 5L, sep = 5000.0, std = 1.0)
     val a = new BaseStream(4, 8)
     pts.foreach(a.update)
-    assert(Points.radius(pts, a.result()) < 100.0)
+    assert(Points.radiusWithOutliers(pts, a.result(), 0) < 100.0)
   }
 
   test("BaseStream handles duplicate-heavy streams") {
@@ -127,7 +127,7 @@ class StreamAlgosSpec extends SparkSpec {
     val a = new BaseStream(2, 2)
     (0 until 50).foreach(_ => a.update(p.clone()))
     a.update(Array(9.0, 9.0))
-    val r = Points.radius(Array(p, Array(9.0, 9.0)), a.result())
+    val r = Points.radiusWithOutliers(Array(p, Array(9.0, 9.0)), a.result(), 0)
     assert(r.isFinite)
   }
 
